@@ -5,53 +5,55 @@
 // Strategies are written against net::Bus, the seam shared by the simulator
 // (sim::Network) and the real-concurrency runtime (node::NodeBus), so the
 // exact same adversarial code runs under the discrete-event scheduler and
-// inside live threaded clusters (node/byzantine.hpp wires it there).
+// inside live threaded clusters (DESIGN.md §12). A profile replaces a
+// process's reliable-broadcast component; core::ProcessStack installs it.
+//
+// Profiles (all strongest-form: honest participation except for the attack):
+//   kEquivocate — conflicting vertex variants to each half of the committee
+//                 (reliable broadcast Agreement must ensure all correct
+//                 processes deliver the same variant, or none);
+//   kMute       — withholds every own broadcast (a "crashed proposer" that
+//                 still echoes/readies others' traffic, keeping quorums warm
+//                 while contributing no chain quality);
+//   kSelective  — sends its SEND only to a 2f+1 window anchored at itself,
+//                 starving a rotating f-sized blind set of first-hand copies
+//                 (Bracha echo amplification must route around it).
+//
+// The crafted-SEND profiles (equivocate, selective) speak BrachaRbc's wire
+// format and therefore require rbc_kind == kBracha; ProcessStack asserts it.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "net/bus.hpp"
-#include "rbc/bracha.hpp"
 #include "rbc/rbc.hpp"
 
 namespace dr::core {
 
-/// Mirrors BrachaRbc's SEND wire format (type | source | round | blob).
-/// Exposed so Byzantine strategies can hand-craft protocol messages the
-/// honest implementation would never produce.
-Bytes encode_bracha_send(ProcessId source, Round r, BytesView payload);
-
-/// Produces a structurally valid conflicting vertex: same edges, different
-/// block bytes — the nastiest equivocation variant, indistinguishable from
-/// the original except by content.
-Bytes mutate_vertex_payload(BytesView payload);
-
-/// An equivocating broadcaster: on broadcast(r, m) it hand-crafts two
-/// conflicting Bracha SEND messages (payload m and a mutated m') and sends
-/// one to each half of the committee. It otherwise participates in the
-/// Bracha protocol honestly (echoes, readies) through the wrapped instance,
-/// which is the strongest profile for this attack: the split quorum can
-/// only be resolved by other processes' echoes.
-///
-/// Reliable broadcast Agreement must ensure all correct processes deliver
-/// the same variant (or none) — the equivocation tests assert exactly that.
-class EquivocatingBrachaRbc final : public rbc::ReliableBroadcast {
- public:
-  EquivocatingBrachaRbc(net::Bus& net, ProcessId pid);
-
-  void set_deliver(DeliverFn fn) override { inner_.set_deliver(std::move(fn)); }
-  void broadcast(Round r, net::Payload payload) override;
-
-  /// Conflicting SEND pairs launched so far (attack-liveness telemetry: a
-  /// test asserting "the adversary was neutralized" must also assert the
-  /// adversary actually acted).
-  std::uint64_t equivocations() const { return equivocations_; }
-
- private:
-  net::Bus& net_;
-  ProcessId pid_;
-  rbc::BrachaRbc inner_;
-  std::uint64_t equivocations_ = 0;
+enum class ByzantineProfile : std::uint8_t {
+  kHonest = 0,
+  kEquivocate,
+  kMute,
+  kSelective,
 };
+
+const char* to_string(ByzantineProfile p);
+
+/// Attacking RBC: like any ReliableBroadcast, plus telemetry so tests can
+/// assert the adversary actually attacked (a Byzantine test whose adversary
+/// silently behaved is vacuous).
+class ByzantineRbc : public rbc::ReliableBroadcast {
+ public:
+  virtual std::uint64_t attacks() const = 0;
+};
+
+/// Builds the attacking RBC for `profile` (never kHonest). `inner` is the
+/// honestly-constructed component; kMute wraps it, the crafted-SEND
+/// profiles discard it and construct their own Bracha instance (re-
+/// subscribing on the bus replaces the handlers, so the discard is safe).
+std::unique_ptr<ByzantineRbc> make_byzantine_rbc(
+    ByzantineProfile profile, net::Bus& bus, ProcessId pid,
+    std::unique_ptr<rbc::ReliableBroadcast> inner);
 
 }  // namespace dr::core

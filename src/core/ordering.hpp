@@ -78,10 +78,10 @@ enum class OrderingKind : std::uint8_t {
 const char* to_string(OrderingKind kind);
 std::optional<OrderingKind> parse_ordering(std::string_view name);
 
-/// Wave geometry the personality's commit rule requires: callers force the
-/// builder's rounds_per_wave to this before wiring. 0 = no requirement
-/// (DagRider commits at whatever geometry is configured — the ablation
-/// bench varies it); Bullshark's rule is defined over 2-round waves.
+/// Wave geometry the personality's commit rule requires: core::ProcessStack
+/// forces the builder's rounds_per_wave to this before wiring. 0 = no
+/// requirement (DagRider commits at whatever geometry is configured — the
+/// ablation bench varies it); Bullshark's rule is defined over 2-round waves.
 Round ordering_rounds_per_wave(OrderingKind kind);
 
 /// Knobs of the Bullshark personality. Defaults follow the paper's spirit;

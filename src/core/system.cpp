@@ -4,73 +4,25 @@
 
 #include "common/assert.hpp"
 #include "core/audit.hpp"
-#include "core/byzantine.hpp"
 
 namespace dr::core {
 
-Node::Node(sim::Network& net, ProcessId pid, const SystemConfig& cfg,
-           const coin::CoinDealer* dealer, std::uint64_t node_seed,
-           sim::Simulator& sim) {
-  const FaultKind fault =
-      pid < cfg.faults.size() ? cfg.faults[pid] : FaultKind::kNone;
-
-  if (fault == FaultKind::kEquivocate) {
-    DR_ASSERT_MSG(cfg.rbc_kind == rbc::RbcKind::kBracha,
-                  "equivocation attack is implemented for Bracha RBC");
-    rbc_ = std::make_unique<EquivocatingBrachaRbc>(net, pid);
-  } else {
-    rbc_ = rbc::make_factory(cfg.rbc_kind, cfg.gossip)(net, pid, cfg.seed);
-  }
-
-  coin::ThresholdCoin* threshold_coin = nullptr;
-  switch (cfg.coin_mode) {
-    case CoinMode::kLocal:
-      coin_ = std::make_unique<coin::LocalCoin>(cfg.seed ^ 0xC0111ULL,
-                                                cfg.committee.n);
-      break;
-    case CoinMode::kThreshold:
-    case CoinMode::kPiggyback: {
-      auto tc = std::make_unique<coin::ThresholdCoin>(
-          net, coin::ProcessCoinKey(dealer, pid),
-          /*broadcast_shares=*/cfg.coin_mode == CoinMode::kThreshold);
-      threshold_coin = tc.get();
-      coin_ = std::move(tc);
-      break;
-    }
-  }
-
-  builder_ = std::make_unique<dag::DagBuilder>(cfg.committee, pid, *rbc_,
-                                               cfg.builder);
-  if (cfg.coin_mode == CoinMode::kPiggyback) {
-    builder_->enable_coin_piggyback(
-        [threshold_coin](Wave w) { return threshold_coin->share_to_embed(w); },
-        [threshold_coin](ProcessId from, Wave w, std::uint64_t y) {
-          threshold_coin->ingest_share(from, w, y);
-        });
-  }
-  rider_ = make_ordering(cfg.ordering, *builder_, *coin_, cfg.bullshark);
-  if (cfg.gc_depth_rounds > 0) rider_->enable_gc(cfg.gc_depth_rounds);
-  rider_->set_deliver([this, &sim](const Bytes& block,
-                                   const crypto::Digest& block_digest, Round r,
-                                   ProcessId src) {
-    delivered_.push_back(
-        DeliveredRecord{block_digest, block.size(), r, src, sim.now()});
-    if (app_deliver_) app_deliver_(block, r, src);
-  });
-  rider_->set_commit_observer(
-      [this, &sim](Wave w, dag::VertexId leader, bool direct) {
-        commits_.push_back(CommitRecord{w, leader, direct, sim.now()});
-      });
-  (void)node_seed;
-}
+Node::Node(sim::Network& net, ProcessId pid, StackOptions opts,
+           const coin::CoinDealer* dealer, sim::Simulator& sim)
+    : stack_(
+          net, pid, std::move(opts), dealer,
+          [this, &sim](const Bytes& block, const crypto::Digest& block_digest,
+                       Round r, ProcessId src) {
+            delivered_.push_back(
+                DeliveredRecord{block_digest, block.size(), r, src, sim.now()});
+            if (app_deliver_) app_deliver_(block, r, src);
+          },
+          [this, &sim](Wave w, dag::VertexId leader, bool direct) {
+            commits_.push_back(CommitRecord{w, leader, direct, sim.now()});
+          }) {}
 
 System::System(SystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed) {
   DR_ASSERT_MSG(cfg_.committee.valid(), "System: committee must satisfy n > 3f");
-  // The personality owns the wave geometry: Bullshark's commit rule is
-  // defined over 2-round waves, so its choice overrides the builder knob.
-  if (const Round rpw = ordering_rounds_per_wave(cfg_.ordering)) {
-    cfg_.builder.rounds_per_wave = rpw;
-  }
   if (!cfg_.delays) {
     cfg_.delays = std::make_unique<sim::UniformDelay>(1, 100);
   }
@@ -94,11 +46,26 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed) {
     }
   }
 
-  Xoshiro256 seeder(cfg_.seed ^ 0x5EEDULL);
   nodes_.reserve(cfg_.committee.n);
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
-    nodes_.push_back(std::make_unique<Node>(*net_, pid, cfg_, dealer_.get(),
-                                            seeder(), sim_));
+    // The only fault that changes a process's own code is equivocation;
+    // crash, silent and stealthy are played by the harness around an
+    // honest stack.
+    StackOptions opts{
+        .rbc_kind = cfg_.rbc_kind,
+        .gossip = cfg_.gossip,
+        .byzantine = faults_[pid] == FaultKind::kEquivocate
+                         ? ByzantineProfile::kEquivocate
+                         : ByzantineProfile::kHonest,
+        .coin_mode = cfg_.coin_mode,
+        .ordering = cfg_.ordering,
+        .bullshark = cfg_.bullshark,
+        .builder = cfg_.builder,
+        .gc_depth_rounds = cfg_.gc_depth_rounds,
+        .seed = cfg_.seed,
+    };
+    nodes_.push_back(std::make_unique<Node>(*net_, pid, std::move(opts),
+                                            dealer_.get(), sim_));
   }
 }
 

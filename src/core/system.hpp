@@ -1,39 +1,30 @@
-// System harness: assembles n DAG-Rider processes (reliable broadcast +
-// threshold coin + DAG builder + ordering layer) on the simulated network,
-// injects faults, and exposes delivered logs. This is the top-level entry
-// point a library user instantiates; every test, bench, and example builds
-// on it.
+// System harness: runs n DAG-Rider processes (each a core::ProcessStack of
+// reliable broadcast + threshold coin + DAG builder + ordering layer) on the
+// simulated network, injects faults, and exposes delivered logs. This is the
+// top-level entry point a library user instantiates; every test, bench, and
+// example builds on it.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "coin/coin.hpp"
 #include "coin/dealer.hpp"
-#include "coin/threshold_coin.hpp"
-#include "core/ordering.hpp"
 #include "core/records.hpp"
+#include "core/stack.hpp"
 #include "crypto/sha256.hpp"
-#include "rbc/factory.hpp"
 #include "sim/adversary.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace dr::core {
 
-enum class CoinMode {
-  kLocal,      ///< perfect-coin oracle (unit/experiment isolation)
-  kThreshold,  ///< threshold coin, shares broadcast on the coin channel
-  kPiggyback,  ///< threshold coin, shares embedded in DAG vertices (fn. 1)
-};
-
 enum class FaultKind {
   kNone,
   kCrash,       ///< sends and receives nothing, ever
   kSilent,      ///< participates in others' broadcasts but proposes nothing
-  kEquivocate,  ///< proposes conflicting vertices to different halves
-                ///< (Bracha RBC only; reliable broadcast must defuse it)
+  kEquivocate,  ///< runs ByzantineProfile::kEquivocate (Bracha RBC only;
+                ///< reliable broadcast must defuse it)
   kStealthy,    ///< behaves exactly like a correct process but counts as
                 ///< Byzantine — the chain-quality worst case, where the
                 ///< adversary's processes participate fully to claim as
@@ -61,20 +52,20 @@ struct SystemConfig {
   std::vector<FaultKind> faults;
 };
 
-/// The full protocol stack of a single process. DeliveredRecord /
-/// CommitRecord now live in core/records.hpp, shared with the
-/// real-concurrency runtime (node::Node) and the auditors in core/audit.hpp.
-
+/// One simulated process: the shared ProcessStack plus the harness's
+/// sim-time delivery/commit records (core/records.hpp, shared with the
+/// threaded runtime's node::Node and the auditors in core/audit.hpp).
 class Node {
  public:
-  Node(sim::Network& net, ProcessId pid, const SystemConfig& cfg,
-       const coin::CoinDealer* dealer, std::uint64_t node_seed,
-       sim::Simulator& sim);
+  Node(sim::Network& net, ProcessId pid, StackOptions opts,
+       const coin::CoinDealer* dealer, sim::Simulator& sim);
+  Node(const Node&) = delete;  // the stack's callbacks hold `this`
+  Node& operator=(const Node&) = delete;
 
-  dag::DagBuilder& builder() { return *builder_; }
-  OrderingRule& rider() { return *rider_; }
-  rbc::ReliableBroadcast& rbc() { return *rbc_; }
-  coin::Coin& coin() { return *coin_; }
+  dag::DagBuilder& builder() { return stack_.builder(); }
+  OrderingRule& rider() { return stack_.rider(); }
+  coin::Coin& coin() { return stack_.coin(); }
+  ByzantineRbc* byzantine() const { return stack_.byzantine(); }
 
   const std::vector<DeliveredRecord>& delivered() const { return delivered_; }
   const std::vector<CommitRecord>& commits() const { return commits_; }
@@ -86,13 +77,10 @@ class Node {
   void set_app_deliver(AppDeliverFn fn) { app_deliver_ = std::move(fn); }
 
  private:
-  std::unique_ptr<rbc::ReliableBroadcast> rbc_;
-  std::unique_ptr<coin::Coin> coin_;
-  std::unique_ptr<dag::DagBuilder> builder_;
-  std::unique_ptr<OrderingRule> rider_;
   std::vector<DeliveredRecord> delivered_;
   std::vector<CommitRecord> commits_;
   AppDeliverFn app_deliver_;
+  ProcessStack stack_;  ///< last: its callbacks write the members above
 };
 
 class System {

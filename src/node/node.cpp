@@ -16,59 +16,8 @@ Node::Node(std::unique_ptr<net::Transport> transport,
       mempool_(opts_.mempool),
       epoch_(std::chrono::steady_clock::now()) {
   const ProcessId my_pid = transport_->pid();
-
-  // The personality owns the wave geometry: Bullshark's commit rule is
-  // defined over 2-round waves, so its choice overrides the builder knob.
-  if (const Round rpw = core::ordering_rounds_per_wave(opts_.ordering)) {
-    opts_.builder.rounds_per_wave = rpw;
-  }
-
-  rbc_ = rbc::make_factory(opts_.rbc_kind)(bus_, my_pid, opts_.seed);
-  if (opts_.byzantine != ByzantineProfile::kHonest) {
-    DR_ASSERT_MSG(opts_.byzantine == ByzantineProfile::kMute ||
-                      opts_.rbc_kind == rbc::RbcKind::kBracha,
-                  "crafted-SEND Byzantine profiles speak Bracha's wire format");
-    auto byz = make_byzantine_rbc(opts_.byzantine, bus_, my_pid,
-                                  std::move(rbc_));
-    byz_ = byz.get();
-    rbc_ = std::move(byz);
-  }
-
-  coin::ThresholdCoin* threshold_coin = nullptr;
-  switch (opts_.coin_mode) {
-    case CoinMode::kLocal:
-      coin_ = std::make_unique<coin::LocalCoin>(opts_.seed ^ 0xC0111ULL,
-                                                committee().n);
-      break;
-    case CoinMode::kThreshold:
-    case CoinMode::kPiggyback: {
-      DR_ASSERT_MSG(dealer != nullptr,
-                    "threshold coin modes need the trusted dealer setup");
-      auto tc = std::make_unique<coin::ThresholdCoin>(
-          bus_, coin::ProcessCoinKey(dealer, my_pid),
-          /*broadcast_shares=*/opts_.coin_mode == CoinMode::kThreshold);
-      threshold_coin = tc.get();
-      coin_ = std::move(tc);
-      break;
-    }
-  }
-
-  builder_ = std::make_unique<dag::DagBuilder>(committee(), my_pid, *rbc_,
-                                               opts_.builder);
-  if (opts_.coin_mode == CoinMode::kPiggyback) {
-    builder_->enable_coin_piggyback(
-        [threshold_coin](Wave w) { return threshold_coin->share_to_embed(w); },
-        [threshold_coin](ProcessId from, Wave w, std::uint64_t y) {
-          threshold_coin->ingest_share(from, w, y);
-        });
-  }
-  rider_ = core::make_ordering(opts_.ordering, *builder_, *coin_,
-                               opts_.bullshark);
-  if (opts_.gc_depth_rounds > 0) rider_->enable_gc(opts_.gc_depth_rounds);
-
-  rider_->set_deliver([this](const Bytes& block,
-                             const crypto::Digest& block_digest, Round r,
-                             ProcessId src) {
+  auto deliver = [this](const Bytes& block, const crypto::Digest& block_digest,
+                        Round r, ProcessId src) {
     const std::uint64_t t = now_us();
     {
       std::lock_guard<std::mutex> lk(log_mu_);
@@ -87,11 +36,25 @@ Node::Node(std::unique_ptr<net::Transport> transport,
       }
     }
     if (app_deliver_) app_deliver_(block, r, src, t);
-  });
-  rider_->set_commit_observer([this](Wave w, dag::VertexId leader, bool direct) {
+  };
+  auto on_commit = [this](Wave w, dag::VertexId leader, bool direct) {
     std::lock_guard<std::mutex> lk(log_mu_);
     commits_.push_back(core::CommitRecord{w, leader, direct, now_us()});
-  });
+  };
+  stack_ = std::make_unique<core::ProcessStack>(
+      bus_, my_pid,
+      core::StackOptions{.rbc_kind = opts_.rbc_kind,
+                         .gossip = {},  // gossip RBC tuning is sim-only
+                         .byzantine = opts_.byzantine,
+                         .coin_mode = opts_.coin_mode,
+                         .ordering = opts_.ordering,
+                         .bullshark = opts_.bullshark,
+                         .builder = opts_.builder,
+                         .gc_depth_rounds = opts_.gc_depth_rounds,
+                         .seed = opts_.seed},
+      dealer, std::move(deliver), std::move(on_commit));
+  builder_ = &stack_->builder();
+  rider_ = &stack_->rider();
 
   // a_bcast path: blocks ride the inbox as kApp frames from this node to
   // itself, so proposals enter the builder on the node thread like any
@@ -196,8 +159,9 @@ void Node::recover_from_store() {
     const storage::Snapshot& snap = *rec.snapshot;
     // Wave numbering and the commit rule differ between personalities; a
     // log written under one must not seed the other (DESIGN.md §14).
-    DR_ASSERT_MSG(snap.ordering == static_cast<std::uint8_t>(opts_.ordering) &&
-                      snap.rounds_per_wave == opts_.builder.rounds_per_wave,
+    DR_ASSERT_MSG(
+        snap.ordering == static_cast<std::uint8_t>(opts_.ordering) &&
+            snap.rounds_per_wave == builder_->options().rounds_per_wave,
                   "snapshot written under a different ordering personality");
     floor = snap.gc_floor;
     std::vector<dag::VertexId> delivered_ids;
@@ -271,7 +235,7 @@ void Node::maybe_compact() {
   snap.gc_floor = floor;
   snap.decided_wave = rider_->decided_wave();
   snap.ordering = static_cast<std::uint8_t>(opts_.ordering);
-  snap.rounds_per_wave = opts_.builder.rounds_per_wave;
+  snap.rounds_per_wave = builder_->options().rounds_per_wave;
   {
     std::lock_guard<std::mutex> lk(log_mu_);
     snap.delivered = delivered_;
@@ -389,8 +353,8 @@ metrics::Counters Node::counters() const {
   out.emplace_back("transport.backpressure_overflows",
                    transport_->backpressure_overflows());
   metrics::append_prefixed(out, "transport", transport_->counters());
-  if (byz_ != nullptr) {
-    out.emplace_back("byzantine.attacks", byz_->attacks());
+  if (const core::ByzantineRbc* byz = stack_->byzantine()) {
+    out.emplace_back("byzantine.attacks", byz->attacks());
   }
   out.emplace_back("ordering.kind",
                    static_cast<std::uint64_t>(opts_.ordering));
@@ -399,7 +363,7 @@ metrics::Counters Node::counters() const {
   out.emplace_back("ordering.waves_without_direct_commit",
                    rider_->waves_without_direct_commit());
   if (rider_->kind() == core::OrderingKind::kBullshark) {
-    const auto* bs = static_cast<const core::BullsharkRider*>(rider_.get());
+    const auto* bs = static_cast<const core::BullsharkRider*>(rider_);
     out.emplace_back("ordering.steady_commits", bs->steady_commits());
     out.emplace_back("ordering.fallback_commits", bs->fallback_commits());
     out.emplace_back("ordering.fallback_entries", bs->fallback_entries());

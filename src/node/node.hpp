@@ -1,6 +1,6 @@
 // Real-concurrency node runtime: one OS-thread event loop hosting the same
-// protocol stack the simulator runs (reliable broadcast + threshold coin +
-// DAG builder + DAG-Rider ordering), behind a thread-safe inbox.
+// core::ProcessStack the simulator runs (reliable broadcast + threshold coin
+// + DAG builder + ordering rule), behind a thread-safe inbox.
 //
 // Concurrency model (see DESIGN.md "Real-concurrency runtime"): the protocol
 // stack is single-threaded and lock-free by construction — every message,
@@ -21,36 +21,24 @@
 #include <thread>
 #include <vector>
 
-#include "coin/coin.hpp"
 #include "coin/dealer.hpp"
-#include "coin/threshold_coin.hpp"
 #include "common/assert.hpp"
-#include "core/ordering.hpp"
 #include "core/records.hpp"
+#include "core/stack.hpp"
 #include "ingress/mempool.hpp"
 #include "ingress/server.hpp"
 #include "metrics/counters.hpp"
 #include "net/bus.hpp"
 #include "net/inbox.hpp"
 #include "net/transport.hpp"
-#include "node/byzantine.hpp"
 #include "node/catchup.hpp"
-#include "rbc/factory.hpp"
 #include "storage/store.hpp"
 
 namespace dr::node {
 
-/// How the node draws its common coin. Mirrors core::CoinMode but without
-/// dragging in the simulator harness header.
-enum class CoinMode {
-  kLocal,      ///< perfect-coin oracle (tests)
-  kThreshold,  ///< shares broadcast on the coin channel
-  kPiggyback,  ///< shares embedded in DAG vertices (paper footnote 1)
-};
-
 struct NodeOptions {
   rbc::RbcKind rbc_kind = rbc::RbcKind::kBracha;
-  CoinMode coin_mode = CoinMode::kPiggyback;
+  core::CoinMode coin_mode = core::CoinMode::kPiggyback;
   /// Which commit rule orders the DAG (DESIGN.md §14). kBullshark forces
   /// builder.rounds_per_wave to 2 (its wave geometry).
   core::OrderingKind ordering = core::OrderingKind::kDagRider;
@@ -71,9 +59,9 @@ struct NodeOptions {
   /// Peer catch-up sync over Channel::kSync.
   CatchupOptions catchup{};
   /// Live adversarial profile (DESIGN.md §12): kHonest runs the protocol
-  /// faithfully; any other value replaces the RBC with an attacking wrapper
-  /// (node/byzantine.hpp). The crafted-SEND profiles require kBracha.
-  ByzantineProfile byzantine = ByzantineProfile::kHonest;
+  /// faithfully; any other value replaces the RBC with an attacking one
+  /// (core/byzantine.hpp). The crafted-SEND profiles require kBracha.
+  core::ByzantineProfile byzantine = core::ByzantineProfile::kHonest;
   Round gc_depth_rounds = 0;
   /// Laggard-aware GC holdback: a peer heard from within this window pins
   /// the GC floor cap to just below its highest delivered round, keeping the
@@ -246,11 +234,10 @@ class Node {
   net::Inbox inbox_;
   NodeBus bus_;
 
-  std::unique_ptr<rbc::ReliableBroadcast> rbc_;
-  ByzantineRbc* byz_ = nullptr;  ///< rbc_ downview when opts_.byzantine is set
-  std::unique_ptr<coin::Coin> coin_;
-  std::unique_ptr<dag::DagBuilder> builder_;
-  std::unique_ptr<core::OrderingRule> rider_;
+  std::unique_ptr<core::ProcessStack> stack_;
+  // Cached views into stack_ for the event loop.
+  dag::DagBuilder* builder_ = nullptr;
+  core::OrderingRule* rider_ = nullptr;
   std::unique_ptr<storage::VertexStore> store_;
   std::unique_ptr<CatchupSync> catchup_;
   Round last_compact_floor_ = 0;

@@ -50,7 +50,7 @@ SoakResult run_chaos_soak(const SoakOptions& opts) {
 
   SplitMix64 sched(opts.seed ^ kSoakSeedTweak);
   const ProcessId byz_pid =
-      opts.byzantine != ByzantineProfile::kHonest
+      opts.byzantine != core::ByzantineProfile::kHonest
           ? static_cast<ProcessId>(sched.next() % opts.n)
           : static_cast<ProcessId>(opts.n);
   ProcessId churn_pid = static_cast<ProcessId>(opts.n);
@@ -80,7 +80,7 @@ SoakResult run_chaos_soak(const SoakOptions& opts) {
     return std::make_unique<net::ChaosTransport>(std::move(inner), plan);
   };
   if (byz_pid < opts.n) {
-    tweaks.profiles.assign(opts.n, ByzantineProfile::kHonest);
+    tweaks.profiles.assign(opts.n, core::ByzantineProfile::kHonest);
     tweaks.profiles[byz_pid] = opts.byzantine;
   }
 

@@ -35,7 +35,7 @@ struct SoakOptions {
   bool with_churn = false;
   /// != kHonest seats one live adversary at a seed-derived pid; its logs are
   /// excluded from the audit (the BAB model judges correct processes only).
-  ByzantineProfile byzantine = ByzantineProfile::kHonest;
+  core::ByzantineProfile byzantine = core::ByzantineProfile::kHonest;
   /// Base directory for per-node WALs; empty = no persistence (and no churn).
   std::string wal_dir;
   /// Self-test hook: corrupt one delivered record before auditing, proving

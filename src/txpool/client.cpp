@@ -25,12 +25,6 @@ ClientSwarm::ClientSwarm(core::System& sys, WorkloadConfig cfg,
   }
 }
 
-void ClientSwarm::on_deliver_at_probe(const Bytes& block) {
-  auto txs = decode_block(block);
-  if (!txs) return;
-  on_deliver_at_probe_txs(txs.value());
-}
-
 void ClientSwarm::start() {
   schedule_submit();
   for (ProcessId p : correct_) schedule_pump(p);

@@ -47,7 +47,6 @@ class ClientSwarm {
  private:
   void schedule_submit();
   void schedule_pump(ProcessId p);
-  void on_deliver_at_probe(const Bytes& block);
   void on_deliver_at_probe_txs(const std::vector<Transaction>& txs);
 
   core::System& sys_;

@@ -180,6 +180,9 @@ TEST(DagRiderFaults, EquivocatorCannotBreakAgreement) {
   sys.start();
   ASSERT_TRUE(sys.run_until_delivered(24));
   check_safety(sys);
+  // Non-vacuous: the equivocator really sent conflicting vertices.
+  ASSERT_NE(sys.node(2).byzantine(), nullptr);
+  EXPECT_GT(sys.node(2).byzantine()->attacks(), 0u);
 }
 
 TEST(DagRiderFaults, CrashPlusAdversarialDelays) {
@@ -275,6 +278,8 @@ TEST(DagRiderValidity, ChainQualityMeetsBound) {
   const double quality = chain_quality(sys);
   const double bound = 2.0 / 3.0;  // (f+1)/(2f+1) with f=1
   EXPECT_GE(quality, bound - 0.05);
+  ASSERT_NE(sys.node(1).byzantine(), nullptr);
+  EXPECT_GT(sys.node(1).byzantine()->attacks(), 0u);
 }
 
 // ---------------------------------------------------------------------------

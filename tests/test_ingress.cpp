@@ -542,8 +542,8 @@ TEST(IngressCluster, ResubmitAfterRestartOfMuteProposerDeliversExactlyOnce) {
   opts.ingress_enable = true;
   opts.wal_dir = wal;
   node::ClusterTweaks tweaks;
-  tweaks.profiles.assign(4, node::ByzantineProfile::kHonest);
-  tweaks.profiles[1] = node::ByzantineProfile::kMute;
+  tweaks.profiles.assign(4, core::ByzantineProfile::kHonest);
+  tweaks.profiles[1] = core::ByzantineProfile::kMute;
   node::Cluster cluster(Committee::for_n(4), opts, tweaks);
 
   // Exactly-once tally at honest node 0, keyed by logical tx id.
@@ -603,7 +603,7 @@ TEST(IngressCluster, ResubmitAfterRestartOfMuteProposerDeliversExactlyOnce) {
   }
 
   cluster.stop_node(1);
-  cluster.set_profile(1, node::ByzantineProfile::kHonest);
+  cluster.set_profile(1, core::ByzantineProfile::kHonest);
   cluster.restart_node(1);
   ASSERT_EQ(cluster.ingress_port(1), port);
   // The fix's mechanism: recovery (on the node thread) re-registers the

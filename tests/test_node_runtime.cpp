@@ -26,7 +26,7 @@ TEST(NodeRuntime, FourNodeClusterCommitsTenThousandTxs) {
   const Committee committee = Committee::for_f(1);
   NodeOptions opts;
   opts.seed = 42;
-  opts.coin_mode = CoinMode::kPiggyback;
+  opts.coin_mode = core::CoinMode::kPiggyback;
   Cluster cluster(committee, opts);
 
   // Per-node count of client transactions observed in a_delivered blocks.
@@ -93,7 +93,7 @@ TEST(NodeRuntime, ThresholdCoinOnWireAlsoAgrees) {
   const Committee committee = Committee::for_f(1);
   NodeOptions opts;
   opts.seed = 7;
-  opts.coin_mode = CoinMode::kThreshold;
+  opts.coin_mode = core::CoinMode::kThreshold;
   Cluster cluster(committee, opts);
   cluster.start();
 

@@ -502,6 +502,37 @@ std::uint64_t counter_value(const metrics::Counters& counters,
   return 0;
 }
 
+// Recovery refuses a log written under the other ordering personality
+// (DESIGN.md §14): a snapshot stamped Bullshark / 2-round waves must abort a
+// DagRider node at start-up instead of seeding its wave state. The abort
+// fires on the node thread, hence the threadsafe death-test style.
+TEST(StorageRecoveryDeathTest, RefusesSnapshotOfOtherPersonality) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Committee committee = Committee::for_f(1);
+  const std::string dir = storage::fresh_dir("dr_cross_personality");
+  {
+    storage::VertexStore store(committee, 0, storage::StoreOptions{dir, false});
+    (void)store.recover();
+    storage::Snapshot snap;
+    snap.committee = committee;
+    snap.pid = 0;
+    snap.ordering = static_cast<std::uint8_t>(core::OrderingKind::kBullshark);
+    snap.rounds_per_wave = 2;
+    store.compact(snap, dag::Dag(committee));
+  }
+  NodeOptions opts;  // DagRider, 4-round waves
+  opts.coin_mode = core::CoinMode::kLocal;
+  opts.wal_dir = dir;
+  EXPECT_DEATH(
+      {
+        net::InProcNetwork net(committee);
+        Node node(net.endpoint(0), nullptr, opts);
+        node.start();
+        std::this_thread::sleep_for(std::chrono::seconds(5));
+      },
+      "different ordering personality");
+}
+
 // The ISSUE's acceptance scenario: kill a node mid-run, restart it from its
 // WAL, and require it to rejoin through catch-up sync and keep committing,
 // with the cross-node auditors green over the combined history.
