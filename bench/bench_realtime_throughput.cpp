@@ -104,7 +104,7 @@ RealtimeRun run_cluster(std::uint32_t n, std::size_t block_max_txs,
     tx.id = id;
     tx.submit_time = probe.now_us();
     tx.payload = Bytes(tx_payload, static_cast<std::uint8_t>(id));
-    cluster.node(static_cast<ProcessId>(id % n)).submit(std::move(tx));
+    cluster.node(static_cast<ProcessId>(id % n)).submit_tx(std::move(tx));
   }
 
   RealtimeRun out;

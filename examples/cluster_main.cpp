@@ -71,7 +71,8 @@ void submit_workload(node::Cluster& cluster, std::uint64_t txs) {
     tx.id = id;
     tx.submit_time = cluster.node(0).now_us();
     tx.payload = Bytes(32, static_cast<std::uint8_t>(id));
-    cluster.node(static_cast<ProcessId>(id % cluster.n())).submit(std::move(tx));
+    cluster.node(static_cast<ProcessId>(id % cluster.n()))
+        .submit_tx(std::move(tx));
   }
 }
 

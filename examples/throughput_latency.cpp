@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "metrics/table.hpp"
-#include "txpool/client.hpp"
+#include "app/client_swarm.hpp"
 
 int main(int argc, char** argv) {
   using namespace dr;
@@ -30,11 +30,11 @@ int main(int argc, char** argv) {
       cfg.builder.auto_block_size = 0;
       core::System sys(std::move(cfg));
 
-      txpool::WorkloadConfig wl;
+      app::WorkloadConfig wl;
       wl.tx_per_tick = rate;
       wl.tx_payload = 64;
       wl.batch_max = 32;
-      txpool::ClientSwarm swarm(sys, wl, 99);
+      app::ClientSwarm swarm(sys, wl, 99);
       sys.start();
       swarm.start();
 

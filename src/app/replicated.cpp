@@ -1,5 +1,7 @@
 #include "app/replicated.hpp"
 
+#include "common/assert.hpp"
+
 namespace dr::app {
 
 ReplicatedService::ReplicatedService(core::System& sys, MachineFactory factory,
@@ -7,18 +9,29 @@ ReplicatedService::ReplicatedService(core::System& sys, MachineFactory factory,
                                      sim::SimTime pump_every)
     : sys_(sys), batch_max_(batch_max), pump_every_(pump_every) {
   correct_ = sys_.correct_ids();
+  DR_ASSERT_MSG(!correct_.empty(), "ReplicatedService needs a correct process");
   for (ProcessId p = 0; p < sys_.n(); ++p) {
     machines_.push_back(factory());
-    pools_.push_back(std::make_unique<txpool::Mempool>());
+    // One shard keeps the drain FIFO; an overloaded simulated client may
+    // queue up to 100k txs per replica before submissions are refused.
+    pools_.push_back(std::make_unique<ingress::ShardedMempool>(
+        ingress::MempoolOptions{.shards = 1,
+                                .shard_capacity = 100'000,
+                                .busy_watermark = 1.0}));
   }
   for (ProcessId p : correct_) {
     sys_.node(p).set_app_deliver(
         [this, p](const Bytes& block, Round, ProcessId) {
-          auto txs = txpool::decode_block(block);
-          if (!txs) return;  // padding / foreign block: no-op
-          pools_[p]->observe_delivered(txs.value());
-          for (const txpool::Transaction& tx : txs.value()) {
-            machines_[p]->apply(tx.payload);
+          // Padding / foreign blocks carry no txs: no-op.
+          const bool probe = p == correct_.front();
+          for (const ingress::CommittedTx& c : pools_[p]->commit_block(block)) {
+            machines_[p]->apply(c.tx.payload);
+            // First delivery per id at the probe; re-proposed copies of a
+            // tx submitted to several replicas are not counted again.
+            if (probe && committed_ids_.insert(c.tx.id).second) {
+              latency_.add(static_cast<double>(sys_.simulator().now() -
+                                               c.tx.submit_time));
+            }
           }
         });
   }
@@ -30,7 +43,8 @@ bool ReplicatedService::submit(ProcessId p, std::uint64_t command_id,
   tx.id = command_id;
   tx.submit_time = sys_.simulator().now();
   tx.payload = std::move(command);
-  return pools_[p]->submit(std::move(tx));
+  return pools_[p]->submit(std::move(tx), ingress::TxOrigin{}) ==
+         ingress::SubmitStatus::kAccepted;
 }
 
 void ReplicatedService::start() {
@@ -39,10 +53,12 @@ void ReplicatedService::start() {
 
 void ReplicatedService::schedule_pump(ProcessId p) {
   sys_.simulator().schedule(pump_every_, [this, p] {
-    auto& builder = sys_.node(p).builder();
-    if (builder.blocks_pending() == 0 && pools_[p]->pending() > 0) {
-      Bytes block = pools_[p]->next_block(batch_max_);
-      if (!block.empty()) sys_.node(p).rider().a_bcast(std::move(block));
+    // Keep the proposal queue primed: one pending block at a time so every
+    // vertex carries the freshest batch.
+    if (sys_.node(p).builder().blocks_pending() == 0) {
+      if (auto block = pools_[p]->drain_block(batch_max_)) {
+        sys_.node(p).rider().a_bcast(std::move(*block));
+      }
     }
     schedule_pump(p);
   });

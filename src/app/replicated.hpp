@@ -1,15 +1,19 @@
 // ReplicatedService: glues a core::System to per-replica state machines via
 // the transaction layer. Commands submitted at any replica flow through the
 // mempool -> BAB -> execution pipeline; digests audit replica agreement.
+// This is the simulator's one proposal pump: the open-loop ClientSwarm
+// drives its workload through it too.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "app/state_machine.hpp"
 #include "core/system.hpp"
-#include "txpool/mempool.hpp"
+#include "ingress/mempool.hpp"
+#include "metrics/stats.hpp"
 #include "sim/network.hpp"
 
 namespace dr::app {
@@ -18,8 +22,9 @@ class ReplicatedService {
  public:
   using MachineFactory = std::function<std::unique_ptr<StateMachine>()>;
 
-  /// Builds one state machine per process and hooks block delivery into
-  /// deterministic execution. Call before System::start().
+  /// Builds one state machine and one single-shard (FIFO) mempool per
+  /// process and hooks block delivery into deterministic execution. Call
+  /// before System::start().
   ReplicatedService(core::System& sys, MachineFactory factory,
                     std::size_t batch_max = 32,
                     sim::SimTime pump_every = 50);
@@ -32,7 +37,6 @@ class ReplicatedService {
 
   StateMachine& machine(ProcessId p) { return *machines_[p]; }
   const StateMachine& machine(ProcessId p) const { return *machines_[p]; }
-  const txpool::Mempool& mempool(ProcessId p) const { return *pools_[p]; }
 
   /// True iff all correct replicas that applied the same number of commands
   /// report the same state digest; replicas at different positions are
@@ -41,6 +45,12 @@ class ReplicatedService {
 
   /// Commands applied at the first correct replica.
   std::uint64_t applied_at_probe() const;
+  /// Distinct command ids delivered at the first correct replica (a command
+  /// proposed by two replicas is delivered, and applied, twice).
+  std::uint64_t committed_at_probe() const { return committed_ids_.size(); }
+  /// Submit -> first a_deliver latency (ticks) per command id, at the same
+  /// replica.
+  const metrics::Summary& latency() const { return latency_; }
 
  private:
   void schedule_pump(ProcessId p);
@@ -49,8 +59,10 @@ class ReplicatedService {
   std::size_t batch_max_;
   sim::SimTime pump_every_;
   std::vector<std::unique_ptr<StateMachine>> machines_;
-  std::vector<std::unique_ptr<txpool::Mempool>> pools_;
+  std::vector<std::unique_ptr<ingress::ShardedMempool>> pools_;
   std::vector<ProcessId> correct_;
+  std::unordered_set<std::uint64_t> committed_ids_;
+  metrics::Summary latency_;
 };
 
 }  // namespace dr::app

@@ -144,31 +144,47 @@ std::optional<TxOrigin> ShardedMempool::mark_committed(
   return std::nullopt;
 }
 
-void ShardedMempool::restore_in_flight(const txpool::Transaction& tx) {
-  const crypto::Digest digest = tx_digest(tx);
-  Shard& shard = *shards_[shard_of(digest)];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  if (shard.committed.count(digest) != 0 ||
-      shard.pending.count(digest) != 0 ||
-      shard.in_flight.count(digest) != 0) {
-    return;
+std::optional<Bytes> ShardedMempool::drain_block(std::size_t max_txs) {
+  const std::vector<txpool::Transaction> txs = drain(max_txs);
+  if (txs.empty()) return std::nullopt;
+  return txpool::encode_block(txs);
+}
+
+std::vector<CommittedTx> ShardedMempool::commit_block(BytesView block) {
+  std::vector<CommittedTx> out;
+  auto decoded = txpool::decode_block(block);
+  if (!decoded) return out;
+  std::vector<txpool::Transaction> txs = std::move(decoded).value();
+  out.reserve(txs.size());
+  for (txpool::Transaction& tx : txs) {
+    std::optional<TxOrigin> origin = mark_committed(tx_digest(tx));
+    out.push_back(CommittedTx{std::move(tx), origin});
   }
-  shard.in_flight.emplace(digest, TxOrigin{});
-  in_flight_count_.fetch_add(1, std::memory_order_relaxed);
-  restored_in_flight_.fetch_add(1, std::memory_order_relaxed);
+  return out;
+}
+
+void ShardedMempool::restore_block(BytesView block) {
+  auto txs = txpool::decode_block(block);
+  if (!txs) return;
+  for (const txpool::Transaction& tx : txs.value()) {
+    const crypto::Digest digest = tx_digest(tx);
+    Shard& shard = *shards_[shard_of(digest)];
+    std::lock_guard<std::mutex> lk(shard.mu);
+    if (shard.committed.count(digest) != 0 ||
+        shard.pending.count(digest) != 0 ||
+        shard.in_flight.count(digest) != 0) {
+      continue;
+    }
+    shard.in_flight.emplace(digest, TxOrigin{});
+    in_flight_count_.fetch_add(1, std::memory_order_relaxed);
+    restored_in_flight_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 bool ShardedMempool::recently_committed(const crypto::Digest& digest) const {
   const Shard& shard = *shards_[shard_of(digest)];
   std::lock_guard<std::mutex> lk(shard.mu);
   return shard.committed.count(digest) != 0;
-}
-
-bool ShardedMempool::knows(const crypto::Digest& digest) const {
-  const Shard& shard = *shards_[shard_of(digest)];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  return shard.pending.count(digest) != 0 ||
-         shard.in_flight.count(digest) != 0;
 }
 
 MempoolStats ShardedMempool::stats() const {

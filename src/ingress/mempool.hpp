@@ -1,7 +1,8 @@
-// Digest-partitioned mempool behind the client ingress tier (DESIGN.md §13).
-// Replaces the single-lock txpool::Mempool stub on the node's hot path: the
-// ingress I/O thread and any number of client threads submit concurrently,
-// the node thread drains blocks, and contention stays per-shard.
+// Digest-partitioned mempool (DESIGN.md §13), the one mempool of both
+// drivers. On the runtime the ingress I/O thread and any number of client
+// threads submit concurrently, the node thread drains blocks, and contention
+// stays per-shard; the simulator's workload drivers run it with one shard,
+// which makes the drain order plain FIFO.
 //
 // Identity is the tx digest — sha256 over (id, payload), excluding the
 // server-stamped submit_time so a client resubmitting the same logical tx
@@ -10,6 +11,9 @@
 //   pending (FIFO, waiting for a block) -> in-flight (drained into a
 //   proposal, awaiting a_deliver) -> recently-committed (bounded dedup
 //   window so replays after commit don't double-enter the DAG).
+//
+// The block-level steps (drain_block, commit_block, restore_block) are the
+// only place a tx block is encoded or decoded on either driver's path.
 #pragma once
 
 #include <atomic>
@@ -43,6 +47,12 @@ struct TxOrigin {
   std::uint64_t client_id = 0;
   std::uint64_t tx_id = 0;
   std::uint64_t submit_us = 0;
+};
+
+/// One tx of a delivered block, with the origin commit_block() found for it.
+struct CommittedTx {
+  txpool::Transaction tx;
+  std::optional<TxOrigin> origin;  ///< set only for session-owned txs
 };
 
 struct MempoolOptions {
@@ -100,20 +110,28 @@ class ShardedMempool {
   /// submitting session (the ack path), nullopt for foreign or internal txs.
   std::optional<TxOrigin> mark_committed(const crypto::Digest& digest);
 
+  /// drain() into one encoded BAB block (Alg. 1's v.block); nullopt when
+  /// nothing was pending.
+  std::optional<Bytes> drain_block(std::size_t max_txs);
+
+  /// a_deliver path: mark_committed() for every tx of a delivered block, in
+  /// block order, handing back the decoded txs with their origins. Empty for
+  /// blocks that carry no txs (auto-block filler, foreign payloads).
+  std::vector<CommittedTx> commit_block(BytesView block);
+
   /// Recovery seeding (node thread, during WAL replay setup): re-registers
-  /// a tx carried by a restored-but-not-yet-delivered own proposal, closing
+  /// the txs of a restored-but-not-yet-delivered own proposal, closing
   /// the at-least-once race where a client resubmit after our restart was
   /// re-accepted into a second block while the WAL'd proposal still held the
   /// tx (double delivery). The restored entry sits in the in-flight set with
   /// an empty origin — the pre-crash session is gone, so the eventual commit
   /// ack is unroutable; the resubmitting client observes kDuplicatePending
   /// now and kDuplicateCommitted once the replayed proposal delivers. No-op
-  /// if the digest is already pending, in-flight, or recently committed.
-  void restore_in_flight(const txpool::Transaction& tx);
+  /// per tx whose digest is already pending, in-flight, or recently
+  /// committed, and for blocks that carry no txs.
+  void restore_block(BytesView block);
 
   bool recently_committed(const crypto::Digest& digest) const;
-  /// True while the digest is pending or in-flight.
-  bool knows(const crypto::Digest& digest) const;
 
   std::size_t pending() const {
     return pending_count_.load(std::memory_order_relaxed);

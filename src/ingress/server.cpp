@@ -266,24 +266,17 @@ void IngressServer::handle_message(Session& s, const net::Frame& frame) {
 void IngressServer::handle_batch(Session& s, const SubmitBatch& batch) {
   batches_rx_.fetch_add(1, std::memory_order_relaxed);
   txs_rx_.fetch_add(batch.txs.size(), std::memory_order_relaxed);
-  const bool hook_busy = busy_hook_ && busy_hook_();
   const std::uint64_t now = now_us();
   SubmitReply reply;
   reply.client_id = batch.client_id;
   reply.entries.reserve(batch.txs.size());
   for (const TxSubmit& tx : batch.txs) {
-    SubmitStatus status;
-    if (hook_busy) {
-      status = SubmitStatus::kBusy;
-      busy_hook_rejects_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      txpool::Transaction t;
-      t.id = compose_tx_id(batch.client_id, tx.tx_id);
-      t.submit_time = now;
-      t.payload = tx.payload;
-      status = mempool_.submit(
-          std::move(t), TxOrigin{s.id, batch.client_id, tx.tx_id, now});
-    }
+    txpool::Transaction t;
+    t.id = compose_tx_id(batch.client_id, tx.tx_id);
+    t.submit_time = now;
+    t.payload = tx.payload;
+    const SubmitStatus status = mempool_.submit(
+        std::move(t), TxOrigin{s.id, batch.client_id, tx.tx_id, now});
     reply.entries.push_back(ReplyEntry{tx.tx_id, status});
   }
   // A session that can't even absorb its own submit replies is closed
@@ -396,8 +389,6 @@ metrics::Counters IngressServer::counters() const {
                  protocol_errors_.load(std::memory_order_relaxed));
   c.emplace_back("batches_rx", batches_rx_.load(std::memory_order_relaxed));
   c.emplace_back("txs_rx", txs_rx_.load(std::memory_order_relaxed));
-  c.emplace_back("busy_hook_rejects",
-                 busy_hook_rejects_.load(std::memory_order_relaxed));
   c.emplace_back("acks_enqueued",
                  acks_enqueued_.load(std::memory_order_relaxed));
   c.emplace_back("acks_sent", acks_sent_.load(std::memory_order_relaxed));

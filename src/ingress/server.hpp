@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -74,14 +73,6 @@ class IngressServer {
   IngressServer(const IngressServer&) = delete;
   IngressServer& operator=(const IngressServer&) = delete;
 
-  /// Extra admission signal beyond the mempool watermark (the node wires
-  /// its DagBuilder backlog in here). Called on the I/O thread per batch;
-  /// returning true turns every tx of the batch into kBusy. Set before
-  /// start().
-  void set_busy_hook(std::function<bool()> hook) {
-    busy_hook_ = std::move(hook);
-  }
-
   bool start();
   void stop();
 
@@ -115,7 +106,6 @@ class IngressServer {
 
   ShardedMempool& mempool_;
   ServerOptions opts_;
-  std::function<bool()> busy_hook_;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -143,7 +133,6 @@ class IngressServer {
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> batches_rx_{0};
   std::atomic<std::uint64_t> txs_rx_{0};
-  std::atomic<std::uint64_t> busy_hook_rejects_{0};
   std::atomic<std::uint64_t> acks_enqueued_{0};
   std::atomic<std::uint64_t> acks_sent_{0};
   std::atomic<std::uint64_t> acks_dropped_{0};

@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "crypto/sha256.hpp"
-#include "txpool/transaction.hpp"
 
 namespace dr::node {
 
@@ -25,15 +24,11 @@ Node::Node(std::unique_ptr<net::Transport> transport,
           core::DeliveredRecord{block_digest, block.size(), r, src, t});
     }
     delivered_count_.fetch_add(1, std::memory_order_release);
-    if (auto txs = txpool::decode_block(BytesView(block))) {
-      // Commit path of the ingress tier (DESIGN.md §13): every delivered tx
-      // enters the recently-committed dedup window, and the ones whose
-      // submitting session lives on this node get their ack routed back.
-      for (const txpool::Transaction& tx : txs.value()) {
-        if (auto origin = mempool_.mark_committed(ingress::tx_digest(tx))) {
-          if (ingress_) ingress_->complete(*origin);
-        }
-      }
+    // Commit path of the ingress tier (DESIGN.md §13): every delivered tx
+    // enters the recently-committed dedup window, and the ones whose
+    // submitting session lives on this node get their ack routed back.
+    for (const ingress::CommittedTx& c : mempool_.commit_block(block)) {
+      if (c.origin && ingress_) ingress_->complete(*c.origin);
     }
     if (app_deliver_) app_deliver_(block, r, src, t);
   };
@@ -202,12 +197,7 @@ void Node::recover_from_store() {
       if (r.type != storage::WalRecordType::kProposal) continue;
       if (delivered_own.count(r.round) != 0) continue;
       const auto vx = dag::Vertex::deserialize(BytesView(r.payload));
-      if (!vx.ok()) continue;
-      if (auto txs = txpool::decode_block(BytesView(vx.value().block))) {
-        for (const txpool::Transaction& tx : txs.value()) {
-          mempool_.restore_in_flight(tx);
-        }
-      }
+      if (vx.ok()) mempool_.restore_block(BytesView(vx.value().block));
     }
   }
 
@@ -246,15 +236,10 @@ void Node::maybe_compact() {
 
 void Node::refill_from_mempool() {
   while (builder_->blocks_pending() < opts_.max_blocks_pending) {
-    std::vector<txpool::Transaction> txs =
-        mempool_.drain(opts_.block_max_txs);
-    if (txs.empty()) return;
-    rider_->a_bcast(txpool::encode_block(txs));
+    std::optional<Bytes> block = mempool_.drain_block(opts_.block_max_txs);
+    if (!block) return;
+    rider_->a_bcast(std::move(*block));
   }
-}
-
-bool Node::submit(txpool::Transaction tx) {
-  return submit_tx(std::move(tx)) == ingress::SubmitStatus::kAccepted;
 }
 
 ingress::SubmitStatus Node::submit_tx(txpool::Transaction tx) {

@@ -162,12 +162,9 @@ class Node {
   void stop_loop();
   void stop_transport();
 
-  /// Thread-safe client submission into the mempool. Returns false on
-  /// duplicate or mempool overflow (client-facing backpressure).
-  bool submit(txpool::Transaction tx);
-
-  /// Full-verdict submission path (what the ingress server uses); submit()
-  /// is the boolean convenience wrapper over this.
+  /// Thread-safe internal (sessionless) submission into the mempool; the
+  /// verdict is the same one the ingress tier replies with (duplicates and
+  /// overload are client-facing backpressure, not silent drops).
   ingress::SubmitStatus submit_tx(txpool::Transaction tx);
 
   ingress::ShardedMempool& mempool() { return mempool_; }

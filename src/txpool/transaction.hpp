@@ -5,17 +5,18 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/expected.hpp"
-#include "common/types.hpp"
-#include "sim/simulator.hpp"
 
 namespace dr::txpool {
 
 struct Transaction {
-  std::uint64_t id = 0;            ///< client-assigned, globally unique
-  sim::SimTime submit_time = 0;    ///< for end-to-end latency accounting
+  std::uint64_t id = 0;           ///< client-assigned, globally unique
+  /// For end-to-end latency accounting, on the submitter's clock: simulator
+  /// ticks in the simulator, microseconds on the runtime.
+  std::uint64_t submit_time = 0;
   Bytes payload;
 
   void serialize_into(ByteWriter& w) const {

@@ -12,7 +12,7 @@
 #include "crypto/merkle.hpp"
 #include "dag/vertex.hpp"
 #include "net/frame.hpp"
-#include "txpool/mempool.hpp"
+#include "txpool/transaction.hpp"
 #include "sim/network.hpp"
 
 namespace dr {

@@ -50,7 +50,8 @@ TEST(NodeRuntime, FourNodeClusterCommitsTenThousandTxs) {
     tx.payload = Bytes(32, static_cast<std::uint8_t>(id));
     const ProcessId target = static_cast<ProcessId>(id % committee.n);
     tx.submit_time = cluster.node(target).now_us();
-    ASSERT_TRUE(cluster.node(target).submit(std::move(tx)));
+    ASSERT_EQ(cluster.node(target).submit_tx(std::move(tx)),
+              ingress::SubmitStatus::kAccepted);
   }
 
   const auto deadline =

@@ -1,9 +1,13 @@
-// Tests: transaction blocks, mempool semantics, and the end-to-end client
-// workload (submit -> batch -> BAB -> latency accounting).
+// Tests: transaction blocks, mempool semantics in the simulator's
+// configuration (one shard, so plain FIFO), and the end-to-end client
+// workload (submit -> batch -> BAB -> latency accounting). The sharded
+// admission pipeline is covered by the ShardedMempool tests in
+// test_ingress.cpp.
 #include <gtest/gtest.h>
 
-#include "txpool/client.hpp"
-#include "txpool/mempool.hpp"
+#include "app/client_swarm.hpp"
+#include "ingress/mempool.hpp"
+#include "txpool/transaction.hpp"
 
 namespace dr::txpool {
 namespace {
@@ -47,48 +51,67 @@ TEST(TxBlock, RejectsForeignBytes) {
   EXPECT_FALSE(decode_block(block).ok());
 }
 
+using ingress::MempoolOptions;
+using ingress::ShardedMempool;
+using ingress::SubmitStatus;
+using ingress::TxOrigin;
+
+std::vector<std::uint64_t> ids_of(const std::optional<Bytes>& block) {
+  std::vector<std::uint64_t> ids;
+  if (!block.has_value()) return ids;
+  auto txs = decode_block(*block);
+  EXPECT_TRUE(txs.ok());
+  if (!txs.ok()) return ids;
+  for (const auto& tx : txs.value()) ids.push_back(tx.id);
+  return ids;
+}
+
 TEST(Mempool, FifoBatchingAndDedup) {
-  Mempool pool;
-  for (std::uint64_t i = 1; i <= 10; ++i) EXPECT_TRUE(pool.submit(make_tx(i)));
-  EXPECT_FALSE(pool.submit(make_tx(3)));  // duplicate
-  EXPECT_EQ(pool.rejected_duplicates(), 1u);
+  ShardedMempool pool(MempoolOptions{.shards = 1});
+  for (std::uint64_t i = 1; i <= 10; ++i) {
+    EXPECT_EQ(pool.submit(make_tx(i), TxOrigin{}), SubmitStatus::kAccepted);
+  }
+  EXPECT_EQ(pool.submit(make_tx(3), TxOrigin{}),
+            SubmitStatus::kDuplicatePending);
+  EXPECT_EQ(pool.stats().rejected_dup_pending, 1u);
   EXPECT_EQ(pool.pending(), 10u);
 
-  auto block = decode_block(pool.next_block(4));
-  ASSERT_TRUE(block.ok());
-  ASSERT_EQ(block.value().size(), 4u);
-  EXPECT_EQ(block.value()[0].id, 1u);  // FIFO
-  EXPECT_EQ(block.value()[3].id, 4u);
+  EXPECT_EQ(ids_of(pool.drain_block(4)),
+            (std::vector<std::uint64_t>{1, 2, 3, 4}));  // FIFO
   EXPECT_EQ(pool.pending(), 6u);
 }
 
 TEST(Mempool, OverflowBackpressure) {
-  Mempool pool(3);
-  for (std::uint64_t i = 1; i <= 3; ++i) EXPECT_TRUE(pool.submit(make_tx(i)));
-  EXPECT_FALSE(pool.submit(make_tx(4)));
-  EXPECT_EQ(pool.rejected_overflow(), 1u);
+  ShardedMempool pool(MempoolOptions{
+      .shards = 1, .shard_capacity = 3, .busy_watermark = 10.0});
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    EXPECT_EQ(pool.submit(make_tx(i), TxOrigin{}), SubmitStatus::kAccepted);
+  }
+  EXPECT_EQ(pool.submit(make_tx(4), TxOrigin{}), SubmitStatus::kShardFull);
+  EXPECT_EQ(pool.stats().rejected_overflow, 1u);
 }
 
 TEST(Mempool, DeliveredTransactionsAreNotReproposed) {
-  Mempool pool;
-  for (std::uint64_t i = 1; i <= 6; ++i) pool.submit(make_tx(i));
+  ShardedMempool pool(MempoolOptions{.shards = 1});
+  for (std::uint64_t i = 1; i <= 6; ++i) {
+    ASSERT_EQ(pool.submit(make_tx(i), TxOrigin{}), SubmitStatus::kAccepted);
+  }
   // Transactions 2 and 3 get ordered via another process's block.
-  pool.observe_delivered({make_tx(2), make_tx(3)});
-  auto block = decode_block(pool.next_block(10));
-  ASSERT_TRUE(block.ok());
-  std::vector<std::uint64_t> ids;
-  for (const auto& tx : block.value()) ids.push_back(tx.id);
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 4, 5, 6}));
+  EXPECT_EQ(pool.commit_block(encode_block({make_tx(2), make_tx(3)})).size(),
+            2u);
+  EXPECT_EQ(ids_of(pool.drain_block(10)),
+            (std::vector<std::uint64_t>{1, 4, 5, 6}));
   // And a delivered id cannot be resubmitted either.
-  EXPECT_FALSE(pool.submit(make_tx(2)));
+  EXPECT_EQ(pool.submit(make_tx(2), TxOrigin{}),
+            SubmitStatus::kDuplicateCommitted);
 }
 
 TEST(Mempool, EmptyPoolYieldsEmptyBlock) {
-  Mempool pool;
-  EXPECT_TRUE(pool.next_block(5).empty());
-  pool.submit(make_tx(1));
-  pool.observe_delivered({make_tx(1)});
-  EXPECT_TRUE(pool.next_block(5).empty());  // everything already delivered
+  ShardedMempool pool(MempoolOptions{.shards = 1});
+  EXPECT_FALSE(pool.drain_block(5).has_value());
+  ASSERT_EQ(pool.submit(make_tx(1), TxOrigin{}), SubmitStatus::kAccepted);
+  (void)pool.commit_block(encode_block({make_tx(1)}));
+  EXPECT_FALSE(pool.drain_block(5).has_value());  // everything delivered
 }
 
 // ---------------------------------------------------------------------------
@@ -103,11 +126,11 @@ TEST(ClientSwarm, TransactionsCommitWithMeasuredLatency) {
   cfg.builder.auto_block_size = 0;
   core::System sys(std::move(cfg));
 
-  WorkloadConfig wl;
+  app::WorkloadConfig wl;
   wl.tx_per_tick = 0.2;
   wl.tx_payload = 32;
   wl.batch_max = 16;
-  ClientSwarm swarm(sys, wl, 5);
+  app::ClientSwarm swarm(sys, wl, 5);
   sys.start();
   swarm.start();
 
@@ -131,10 +154,10 @@ TEST(ClientSwarm, RedundantSubmissionCommitsOnceDespiteCrash) {
   cfg.faults[3] = core::FaultKind::kCrash;
   core::System sys(std::move(cfg));
 
-  WorkloadConfig wl;
+  app::WorkloadConfig wl;
   wl.tx_per_tick = 0.1;
   wl.submit_copies = 2;  // each tx lands at 2 processes
-  ClientSwarm swarm(sys, wl, 6);
+  app::ClientSwarm swarm(sys, wl, 6);
   sys.start();
   swarm.start();
   ASSERT_TRUE(sys.simulator().run_until(
