@@ -22,33 +22,10 @@ inline const std::vector<std::uint32_t> kSweepN = {4, 7, 10, 13, 16};
 /// Command line shared by every bench binary:
 ///   --json <path>   additionally write every emitted table as one JSON doc
 ///   --smoke         cut sweeps/workloads down to a CI-sized smoke run
-///   --wal <dir>     durability mode: nodes write WALs under <dir> (cleared
-///                   per configuration), measuring the append+flush overhead
-///   --restart       crash-recovery mode: kill + restart a node and report
-///                   WAL replay + catch-up time (bench_realtime_throughput)
-///   --chaos [seed]  chaos mode: run the cluster behind net::ChaosTransport
-///                   under ChaosPlan::randomized(seed) and report throughput
-///                   under faults plus the injected-fault counter table
-///                   (bench_realtime_throughput; default seed 1)
-///   --ingress       client-ingress mode: drive an n=4 TCP cluster through
-///                   the tx-submission front end with the open-loop loadgen
-///                   and report throughput plus p50/p99 commit-ack latency
-///                   (bench_realtime_throughput)
-///   --ordering <p>  ordering head-to-head: run the n=4 cluster under BOTH
-///                   personalities (dagrider and bullshark) and report the
-///                   p50 commit-latency ratio, with <p> = dagrider |
-///                   bullshark | both naming the personality under test
-///                   (bench_realtime_throughput; both always run so the
-///                   comparison and its JSON artifact carry both rows)
+/// Any other argument prints the usage and exits 2.
 struct BenchArgs {
   std::string json_path;
-  std::string wal_dir;
-  bool restart = false;
   bool smoke = false;
-  bool chaos = false;
-  std::uint64_t chaos_seed = 1;
-  bool ingress = false;
-  std::string ordering;  ///< empty = no ordering comparison requested
 };
 
 inline BenchArgs parse_bench_args(int argc, char** argv) {
@@ -57,21 +34,13 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--json" && i + 1 < argc) {
       out.json_path = argv[++i];
-    } else if (a == "--wal" && i + 1 < argc) {
-      out.wal_dir = argv[++i];
-    } else if (a == "--restart") {
-      out.restart = true;
     } else if (a == "--smoke") {
       out.smoke = true;
-    } else if (a == "--chaos") {
-      out.chaos = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        out.chaos_seed = std::strtoull(argv[++i], nullptr, 10);
-      }
-    } else if (a == "--ingress") {
-      out.ingress = true;
-    } else if (a == "--ordering" && i + 1 < argc) {
-      out.ordering = argv[++i];
+    } else {
+      std::fprintf(stderr,
+                   "unknown arg: %s\nusage: %s [--smoke] [--json <path>]\n",
+                   argv[i], argv[0]);
+      std::exit(2);
     }
   }
   return out;
@@ -89,12 +58,6 @@ class BenchIo {
 
   void init(int argc, char** argv) { args_ = parse_bench_args(argc, argv); }
   bool smoke() const { return args_.smoke; }
-  const std::string& wal_dir() const { return args_.wal_dir; }
-  bool restart() const { return args_.restart; }
-  bool chaos() const { return args_.chaos; }
-  std::uint64_t chaos_seed() const { return args_.chaos_seed; }
-  bool ingress() const { return args_.ingress; }
-  const std::string& ordering() const { return args_.ordering; }
   void section(std::string id) { section_ = std::move(id); }
 
   void emit(const metrics::Table& t) {
@@ -155,16 +118,6 @@ inline void bench_finish() {
   if (!BenchIo::instance().flush()) std::exit(1);
 }
 inline bool smoke() { return BenchIo::instance().smoke(); }
-inline const std::string& bench_wal_dir() {
-  return BenchIo::instance().wal_dir();
-}
-inline bool restart_mode() { return BenchIo::instance().restart(); }
-inline bool chaos_mode() { return BenchIo::instance().chaos(); }
-inline std::uint64_t chaos_seed() { return BenchIo::instance().chaos_seed(); }
-inline bool ingress_mode() { return BenchIo::instance().ingress(); }
-inline const std::string& ordering_mode() {
-  return BenchIo::instance().ordering();
-}
 inline void emit(const metrics::Table& t) { BenchIo::instance().emit(t); }
 
 /// kSweepN, trimmed in smoke mode.

@@ -5,23 +5,14 @@
 #
 #   --smoke    CI-sized run: benches trim their sweeps/workloads (the same
 #              flag every bench binary accepts individually).
-#   --ordering <p>
-#              additionally run the ordering head-to-head
-#              (bench_realtime_throughput --ordering <p>, p = dagrider |
-#              bullshark | both) — both personalities always run so the p50
-#              comparison and BENCH_ordering.json carry both rows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SMOKE=""
-ORDERING=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --smoke) SMOKE="--smoke" ;;
-    --ordering)
-      [ $# -ge 2 ] || { echo "--ordering needs a value" >&2; exit 2; }
-      ORDERING="$2"; shift ;;
-    *) echo "usage: $0 [--smoke] [--ordering dagrider|bullshark|both]" >&2
+    *) echo "usage: $0 [--smoke]" >&2
        exit 2 ;;
   esac
   shift
@@ -49,11 +40,4 @@ for b in build/bench/*; do
     echo | tee -a bench_output.txt
   fi
 done
-
-if [ -n "$ORDERING" ]; then
-  echo "### ordering head-to-head ($ORDERING)" | tee -a bench_output.txt
-  build/bench/bench_realtime_throughput $SMOKE --ordering "$ORDERING" \
-    --json BENCH_ordering.json 2>&1 | tee -a bench_output.txt
-  echo | tee -a bench_output.txt
-fi
 echo "done: see test_output.txt, bench_output.txt, and BENCH_*.json"

@@ -1,9 +1,9 @@
 // n-node in-process cluster: one OS thread per node over the shared-memory
-// transport (net::InProcNetwork), with the threshold-coin trusted setup
-// derived from a single master seed. This is the fixture the sanitizer
-// cross-check tests and the realtime throughput bench drive; the TCP
-// equivalent is assembled by hand in examples/cluster_main.cpp because its
-// processes don't share an address space.
+// transport (net::InProcNetwork) or loopback TCP, with the threshold-coin
+// trusted setup derived from a single master seed. This is the fixture the
+// runtime tests, the chaos soak, the loadgen, perfbench and the ordering
+// head-to-head bench drive; cluster_main's two-process mode assembles its
+// nodes by hand because its processes don't share an address space.
 #pragma once
 
 #include <chrono>
@@ -29,8 +29,9 @@ struct ClusterTweaks {
   TransportWrap transport_wrap;
   std::vector<core::ByzantineProfile> profiles;  ///< empty = all honest
   /// Node-to-node links over loopback TCP (net::TcpTransport) instead of the
-  /// shared-memory transport — the configuration the ingress bench drives so
-  /// client traffic and protocol traffic share a real network stack.
+  /// shared-memory transport — the configuration `loadgen --self-cluster`
+  /// drives so client traffic and protocol traffic share a real network
+  /// stack.
   bool tcp_transport = false;
 };
 
