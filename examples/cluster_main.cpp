@@ -117,7 +117,6 @@ std::vector<std::unique_ptr<node::Node>> make_tcp_nodes(
     ProcessId hi) {
   node::NodeOptions opts;
   opts.seed = seed;
-  opts.builder.auto_block_size = 16;
   std::vector<std::unique_ptr<node::Node>> nodes;
   for (ProcessId pid = lo; pid < hi; ++pid) {
     nodes.push_back(std::make_unique<node::Node>(

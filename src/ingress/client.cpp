@@ -7,6 +7,11 @@ namespace dr::ingress {
 
 namespace {
 
+/// Local bound on queued outbound frames; submit() refuses beyond it
+/// (client-side backpressure, surfaced by the loadgen as
+/// local_backpressure).
+constexpr std::size_t kMaxOutFrames = 256;
+
 std::uint64_t mono_ms() {
   const auto d = std::chrono::steady_clock::now().time_since_epoch();
   return static_cast<std::uint64_t>(
@@ -124,7 +129,7 @@ bool Client::process(int timeout_ms) {
 }
 
 bool Client::queue_frame(Bytes frame) {
-  if (out_.size() >= opts_.max_out_frames) return false;
+  if (out_.size() >= kMaxOutFrames) return false;
   out_.push_back(std::move(frame));
   return flush_out();
 }

@@ -21,10 +21,6 @@ class Client {
   struct Options {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;
-    /// Local bound on queued outbound frames; submit() refuses beyond it
-    /// (client-side backpressure, surfaced by the loadgen as
-    /// local_backpressure).
-    std::size_t max_out_frames = 256;
   };
 
   explicit Client(Options opts) : opts_(std::move(opts)) {}

@@ -93,7 +93,7 @@ struct LoadGen::Driver {
 
   Client::Options conn_options(std::size_t i) const {
     const LoadGenTarget& t = opts.targets[i % opts.targets.size()];
-    return Client::Options{t.host, t.port, 256};
+    return Client::Options{t.host, t.port};
   }
 
   void wire_callbacks(Client& c) {

@@ -9,6 +9,18 @@
 
 namespace dr::ingress {
 
+namespace {
+
+/// Per-session bound on queued outbound buffers; beyond it acks are dropped
+/// (counted) and a session that can't absorb its own submit replies is
+/// closed.
+constexpr std::size_t kMaxOutFrames = 1024;
+/// poll() timeout: the latency floor for ack flushes when the wake pipe is
+/// quiet.
+constexpr int kPollIntervalMs = 20;
+
+}  // namespace
+
 std::uint64_t compose_tx_id(std::uint64_t client_id, std::uint64_t tx_id) {
   // splitmix64-style finalizer over the pair: deterministic (resubmits
   // reproduce the digest) and well-spread across mempool shards.
@@ -141,7 +153,7 @@ void IngressServer::io_loop() {
       pfds.push_back(pollfd{s->fd, events, 0});
       slot_of_pfd.push_back(i);
     }
-    sock::poll_fds(pfds.data(), pfds.size(), opts_.poll_interval_ms);
+    sock::poll_fds(pfds.data(), pfds.size(), kPollIntervalMs);
     if (!running_.load(std::memory_order_acquire)) break;
     if ((pfds[0].revents & POLLIN) != 0) wake_.drain();
     flush_pending_acks();
@@ -333,7 +345,7 @@ void IngressServer::flush_pending_acks() {
 }
 
 bool IngressServer::queue_bytes(Session& s, Bytes bytes, bool droppable) {
-  if (s.out.size() >= opts_.max_out_frames) {
+  if (s.out.size() >= kMaxOutFrames) {
     if (!droppable) s.doomed = true;
     return false;
   }

@@ -56,13 +56,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = kernel-assigned; read back via port()
   std::size_t max_sessions = 1 << 16;
-  /// Per-session bound on queued outbound buffers; beyond it acks are
-  /// dropped (counted) and a session that can't absorb its own submit
-  /// replies is closed.
-  std::size_t max_out_frames = 1024;
-  /// poll() timeout: the latency floor for ack flushes when the wake pipe
-  /// is quiet.
-  int poll_interval_ms = 20;
 };
 
 class IngressServer {

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "common/assert.hpp"
@@ -16,6 +17,13 @@
 namespace dr::net {
 
 namespace {
+
+/// Per-link send-queue bound (frames), and how long enqueue() blocks on a
+/// full queue before it force-enqueues and counts an overflow.
+constexpr std::size_t kSendQueueCapacity = 8192;
+constexpr std::chrono::milliseconds kOverflowGrace{100};
+/// How long dial() keeps retrying a peer that is not listening yet.
+constexpr std::chrono::milliseconds kConnectTimeout{15'000};
 
 /// Writes the whole buffer, riding out partial writes and EINTR. MSG_NOSIGNAL
 /// turns a dead peer into an error return instead of SIGPIPE.
@@ -121,8 +129,8 @@ std::vector<std::uint16_t> pick_free_ports(std::size_t count) {
 }
 
 TcpTransport::TcpTransport(Committee committee, ProcessId pid,
-                           std::vector<TcpPeer> peers, TcpOptions opts)
-    : committee_(committee), pid_(pid), peers_(std::move(peers)), opts_(opts) {
+                           std::vector<TcpPeer> peers)
+    : committee_(committee), pid_(pid), peers_(std::move(peers)) {
   DR_ASSERT_MSG(committee_.valid(), "TcpTransport: committee must satisfy n > 3f");
   DR_ASSERT(pid_ < committee_.n);
   DR_ASSERT_MSG(peers_.size() == committee_.n,
@@ -177,9 +185,9 @@ void TcpTransport::send(ProcessId to, Channel channel, Payload payload) {
 void TcpTransport::enqueue(OutLink& link, OutFrame frame) {
   std::unique_lock<std::mutex> lk(link.mu);
   if (link.closed) return;
-  if (link.queue.size() >= opts_.send_queue_capacity) {
-    if (!link.cv.wait_for(lk, opts_.overflow_grace, [&] {
-          return link.queue.size() < opts_.send_queue_capacity || link.closed;
+  if (link.queue.size() >= kSendQueueCapacity) {
+    if (!link.cv.wait_for(lk, kOverflowGrace, [&] {
+          return link.queue.size() < kSendQueueCapacity || link.closed;
         })) {
       overflows_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -190,7 +198,7 @@ void TcpTransport::enqueue(OutLink& link, OutFrame frame) {
 }
 
 int TcpTransport::dial(const TcpPeer& peer) const {
-  const auto deadline = std::chrono::steady_clock::now() + opts_.connect_timeout;
+  const auto deadline = std::chrono::steady_clock::now() + kConnectTimeout;
   sockaddr_in addr = make_addr(peer);
   while (running_.load(std::memory_order_acquire)) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

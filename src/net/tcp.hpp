@@ -31,12 +31,6 @@ struct TcpPeer {
   std::uint16_t port = 0;
 };
 
-struct TcpOptions {
-  std::size_t send_queue_capacity = 8192;
-  std::chrono::milliseconds connect_timeout{15'000};
-  std::chrono::milliseconds overflow_grace{100};
-};
-
 /// Binds `count` listening sockets on port 0, records the kernel-assigned
 /// ports, and closes them. Racy by nature (another process may grab a port
 /// before it is reused) but adequate for tests and single-machine demos.
@@ -45,8 +39,7 @@ std::vector<std::uint16_t> pick_free_ports(std::size_t count);
 class TcpTransport final : public Transport {
  public:
   /// `peers[i]` is where node i listens; this endpoint binds peers[pid].
-  TcpTransport(Committee committee, ProcessId pid, std::vector<TcpPeer> peers,
-               TcpOptions opts = {});
+  TcpTransport(Committee committee, ProcessId pid, std::vector<TcpPeer> peers);
   ~TcpTransport() override;
 
   ProcessId pid() const override { return pid_; }
@@ -65,8 +58,7 @@ class TcpTransport final : public Transport {
   }
 
   TransportCounters counters() const override {
-    return {{"tcp.protocol_errors", protocol_errors()},
-            {"tcp.backpressure_overflows", backpressure_overflows()}};
+    return {{"tcp.protocol_errors", protocol_errors()}};
   }
 
  private:
@@ -97,7 +89,6 @@ class TcpTransport final : public Transport {
   Committee committee_;
   ProcessId pid_;
   std::vector<TcpPeer> peers_;
-  TcpOptions opts_;
   RecvFn recv_;
 
   std::atomic<int> listen_fd_{-1};

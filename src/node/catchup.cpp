@@ -9,17 +9,38 @@ namespace dr::node {
 
 using dag::VertexId;
 
+namespace {
+
+/// Maximum round-ranges outstanding at once.
+constexpr std::size_t kMaxInflight = 4;
+/// Rounds per VertexRequest.
+constexpr Round kRoundsPerRequest = 8;
+/// Re-issue an unanswered request (to a different peer) after this long.
+constexpr std::uint64_t kRetryAfterUs = 200'000;
+/// Per-peer exponential backoff after an unanswered request.
+constexpr std::uint64_t kBackoffInitialUs = 100'000;
+constexpr std::uint64_t kBackoffMaxUs = 2'000'000;
+/// Server-side caps per response.
+constexpr std::size_t kMaxResponseVertices = 64;
+constexpr std::size_t kMaxResponseBytes = 1u << 20;
+/// Only sync when the observed frontier is at least this many rounds ahead
+/// of the local round — ordinary delivery skew is not lag.
+constexpr Round kMinLag = 2;
+
+// The wire codec rejects anything wider or fuller than these.
+static_assert(kRoundsPerRequest >= 1 &&
+              kRoundsPerRequest <= net::kMaxSyncRoundSpan);
+static_assert(kMaxResponseVertices <= net::kMaxSyncVertices);
+
+}  // namespace
+
 CatchupSync::CatchupSync(net::Bus& bus, ProcessId pid,
-                         dag::DagBuilder& builder, CatchupOptions opts)
+                         dag::DagBuilder& builder)
     : bus_(bus),
       pid_(pid),
       builder_(builder),
-      opts_(opts),
       committee_(bus.committee()),
       peers_(committee_.n) {
-  DR_ASSERT(opts_.rounds_per_request >= 1 &&
-            opts_.rounds_per_request <= net::kMaxSyncRoundSpan);
-  DR_ASSERT(opts_.max_response_vertices <= net::kMaxSyncVertices);
   bus_.subscribe(pid_, net::Channel::kSync,
                  [this](ProcessId from, const net::Payload& payload) {
                    on_sync_frame(from, payload);
@@ -39,7 +60,6 @@ void CatchupSync::on_sync_frame(ProcessId from, const net::Payload& payload) {
 }
 
 void CatchupSync::serve_request(ProcessId from, const net::VertexRequest& req) {
-  if (!opts_.enabled) return;
   const dag::Dag& dag = builder_.dag();
   // Clamp to what this process can actually serve: nothing below its own GC
   // floor (those slots are freed) or round 1, nothing above its max round.
@@ -50,10 +70,10 @@ void CatchupSync::serve_request(ProcessId from, const net::VertexRequest& req) {
   resp.from_round = req.from_round;
   resp.to_round = req.to_round;
   std::size_t bytes = 0;
-  for (Round r = lo; r <= hi && resp.vertices.size() < opts_.max_response_vertices;
+  for (Round r = lo; r <= hi && resp.vertices.size() < kMaxResponseVertices;
        ++r) {
     for (ProcessId src : dag.round_sources(r)) {
-      if (resp.vertices.size() >= opts_.max_response_vertices) break;
+      if (resp.vertices.size() >= kMaxResponseVertices) break;
       const dag::Vertex* v = dag.get(VertexId{src, r});
       DR_ASSERT(v != nullptr);
       net::SyncVertex sv;
@@ -65,10 +85,10 @@ void CatchupSync::serve_request(ProcessId from, const net::VertexRequest& req) {
       // requester's f+1 byte-match rule meaningful.
       sv.payload = v->wire_payload().to_bytes();
       bytes += sv.payload.size();
-      if (bytes > opts_.max_response_bytes) break;
+      if (bytes > kMaxResponseBytes) break;
       resp.vertices.push_back(std::move(sv));
     }
-    if (bytes > opts_.max_response_bytes) break;
+    if (bytes > kMaxResponseBytes) break;
   }
   ++stats_.responses_served;
   // Reply even when empty: the requester learns this peer holds nothing in
@@ -124,7 +144,7 @@ void CatchupSync::send_request(Round from, Round to, std::uint64_t now_us) {
   // Replicate the range to f+1 distinct peers at once. The acceptance rule
   // needs small_quorum() byte-identical vouchers per slot, so a serial
   // one-peer-then-retry scheme only completes a tally after a full
-  // retry_after_us — long enough for the peers' GC floors to overtake the
+  // kRetryAfterUs — long enough for the peers' GC floors to overtake the
   // requested rounds and leave the tally stuck at one voucher forever.
   // Charging
   // each replica its backoff up front (an answer clears it) still rotates
@@ -137,8 +157,8 @@ void CatchupSync::send_request(Round from, Round to, std::uint64_t now_us) {
     if (!choose_peer(now_us, peer)) break;  // everyone is backing off
     PeerState& ps = peers_[peer];
     ps.backoff_us = ps.backoff_us == 0
-                        ? opts_.backoff_initial_us
-                        : std::min(ps.backoff_us * 2, opts_.backoff_max_us);
+                        ? kBackoffInitialUs
+                        : std::min(ps.backoff_us * 2, kBackoffMaxUs);
     ps.backoff_until_us = now_us + ps.backoff_us;
     ++stats_.requests_sent;
     bus_.send(pid_, peer, net::Channel::kSync, frame);
@@ -148,7 +168,6 @@ void CatchupSync::send_request(Round from, Round to, std::uint64_t now_us) {
 }
 
 void CatchupSync::tick(std::uint64_t now_us) {
-  if (!opts_.enabled) return;
   const Round local = builder_.current_round();
   const Round frontier = builder_.highest_seen_round();
   // A buffered vertex can be waiting on a parent BELOW the current round:
@@ -157,12 +176,12 @@ void CatchupSync::tick(std::uint64_t now_us) {
   // blocks insertion forever unless requests reach below `local`.
   const Round missing = builder_.lowest_missing_parent_round();
   const bool parent_gap = missing != 0 && missing < local;
-  if (!parent_gap && frontier < local + opts_.min_lag) {
+  if (!parent_gap && frontier < local + kMinLag) {
     // Caught up (or nearly): drop request state; accepted_ only has to
     // bridge the window until the DAG absorbs each id (pruned below).
     inflight_.clear();
     if (!tally_.empty()) tally_.clear();
-    prune(now_us);
+    prune();
     return;
   }
 
@@ -179,7 +198,7 @@ void CatchupSync::tick(std::uint64_t now_us) {
       inflight_.pop_back();
       continue;
     }
-    if (now_us - rq.sent_at_us >= opts_.retry_after_us) {
+    if (now_us - rq.sent_at_us >= kRetryAfterUs) {
       ++stats_.retries;
       const Round from = rq.from;
       const Round to = rq.to;
@@ -195,9 +214,9 @@ void CatchupSync::tick(std::uint64_t now_us) {
   // before children can leave the builder's buffer.
   const Round limit = std::max(frontier, local);
   Round cursor = need_from;
-  while (inflight_.size() < opts_.max_inflight && cursor <= limit) {
+  while (inflight_.size() < kMaxInflight && cursor <= limit) {
     const Round to =
-        std::min<Round>(cursor + opts_.rounds_per_request - 1, limit);
+        std::min<Round>(cursor + kRoundsPerRequest - 1, limit);
     bool covered = false;
     for (const Inflight& rq : inflight_) {
       if (rq.from <= cursor && cursor <= rq.to) {
@@ -213,10 +232,10 @@ void CatchupSync::tick(std::uint64_t now_us) {
     cursor = to + 1;
   }
 
-  prune(now_us);
+  prune();
 }
 
-void CatchupSync::prune(std::uint64_t) {
+void CatchupSync::prune() {
   // Drop tallies the DAG has since absorbed through ordinary delivery, and
   // accepted ids the DAG now holds (or that GC retired): accepted_ only has
   // to bridge the window between sync_deliver and DAG insertion, after which

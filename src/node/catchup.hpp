@@ -12,13 +12,13 @@
 // through DagBuilder::sync_deliver's ordinary validation/parent gates, so
 // catch-up can delay liveness but never corrupt the DAG.
 //
-// Request discipline: at most `max_inflight` round-ranges outstanding, each
-// covering `rounds_per_request` rounds and replicated to f+1 distinct peers
-// at once (one volley of responses can then complete the byte-match tally —
+// Request discipline: at most kMaxInflight round-ranges outstanding, each
+// covering kRoundsPerRequest rounds and replicated to f+1 distinct peers at
+// once (one volley of responses can then complete the byte-match tally —
 // essential while the peers' GC floors are advancing through the requested
-// rounds), re-sent to the next peers after `retry_after_us`; per-peer
+// rounds), re-sent to the next peers after kRetryAfterUs; per-peer
 // exponential backoff keeps a dead or slow peer from absorbing every
-// request.
+// request. The constants live in catchup.cpp.
 #pragma once
 
 #include <cstdint>
@@ -33,25 +33,6 @@
 
 namespace dr::node {
 
-struct CatchupOptions {
-  bool enabled = true;
-  /// Maximum round-ranges outstanding at once.
-  std::size_t max_inflight = 4;
-  /// Rounds per VertexRequest (<= net::kMaxSyncRoundSpan).
-  Round rounds_per_request = 8;
-  /// Re-issue an unanswered request (to a different peer) after this long.
-  std::uint64_t retry_after_us = 200'000;
-  /// Per-peer exponential backoff after an unanswered request.
-  std::uint64_t backoff_initial_us = 100'000;
-  std::uint64_t backoff_max_us = 2'000'000;
-  /// Server-side caps per response (vertex count <= net::kMaxSyncVertices).
-  std::size_t max_response_vertices = net::kMaxSyncVertices;
-  std::size_t max_response_bytes = 1u << 20;
-  /// Only sync when the observed frontier is at least this many rounds
-  /// ahead of the local round — ordinary delivery skew is not lag.
-  Round min_lag = 2;
-};
-
 /// Monotonic counters, surfaced through node::Node::counters().
 struct CatchupStats {
   std::uint64_t requests_sent = 0;
@@ -65,8 +46,7 @@ struct CatchupStats {
 class CatchupSync {
  public:
   /// Subscribes to Channel::kSync on `bus`. `builder` must outlive this.
-  CatchupSync(net::Bus& bus, ProcessId pid, dag::DagBuilder& builder,
-              CatchupOptions opts);
+  CatchupSync(net::Bus& bus, ProcessId pid, dag::DagBuilder& builder);
 
   /// Drives the requester side; call from the node loop with now_us().
   void tick(std::uint64_t now_us);
@@ -88,7 +68,7 @@ class CatchupSync {
   void serve_request(ProcessId from, const net::VertexRequest& req);
   void ingest_response(ProcessId from, net::VertexResponse& resp);
   /// Drops tally/dedup state for ids the DAG has absorbed or GC retired.
-  void prune(std::uint64_t now_us);
+  void prune();
   /// Next peer (round-robin, != pid_) not currently backing off.
   bool choose_peer(std::uint64_t now_us, ProcessId& out);
   void send_request(Round from, Round to, std::uint64_t now_us);
@@ -96,7 +76,6 @@ class CatchupSync {
   net::Bus& bus_;
   ProcessId pid_;
   dag::DagBuilder& builder_;
-  CatchupOptions opts_;
   Committee committee_;
 
   /// One payload variant for a slot: the bytes (shared, not copied per

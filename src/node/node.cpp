@@ -6,13 +6,31 @@
 
 namespace dr::node {
 
+namespace {
+
+/// Builder setup of every runtime node. auto_blocks keeps rounds advancing
+/// when the mempool runs dry (the paper's "infinitely many blocks"
+/// assumption) with 0-byte filler blocks; lag_skip_threshold lets a node that
+/// restarted far behind sprint to the frontier instead of proposing into
+/// already-closed rounds.
+constexpr dag::BuilderOptions kBuilderOptions{
+    .auto_blocks = true, .auto_block_size = 0, .lag_skip_threshold = 2};
+/// Transactions drained from the mempool into one proposed block.
+constexpr std::size_t kBlockMaxTxs = 256;
+/// Proposed-block backlog above which the loop stops draining the mempool
+/// (blocks park in the builder queue; leaving them in the mempool instead
+/// keeps them eligible for duplicate suppression).
+constexpr std::size_t kMaxBlocksPending = 2;
+/// Event-loop sleep cap when the inbox is empty.
+constexpr std::chrono::milliseconds kIdleWait{1};
+
+}  // namespace
+
 Node::Node(std::unique_ptr<net::Transport> transport,
            const coin::CoinDealer* dealer, NodeOptions opts)
     : opts_(opts),
       transport_(std::move(transport)),
-      inbox_(opts_.inbox_capacity),
       bus_(*transport_),
-      mempool_(opts_.mempool),
       epoch_(std::chrono::steady_clock::now()) {
   const ProcessId my_pid = transport_->pid();
   auto deliver = [this](const Bytes& block, const crypto::Digest& block_digest,
@@ -38,35 +56,25 @@ Node::Node(std::unique_ptr<net::Transport> transport,
   };
   stack_ = std::make_unique<core::ProcessStack>(
       bus_, my_pid,
-      core::StackOptions{.rbc_kind = opts_.rbc_kind,
+      core::StackOptions{.rbc_kind = rbc::RbcKind::kBracha,
                          .gossip = {},  // gossip RBC tuning is sim-only
                          .byzantine = opts_.byzantine,
                          .coin_mode = opts_.coin_mode,
                          .ordering = opts_.ordering,
-                         .bullshark = opts_.bullshark,
-                         .builder = opts_.builder,
+                         .bullshark = {},
+                         .builder = kBuilderOptions,
                          .gc_depth_rounds = opts_.gc_depth_rounds,
                          .seed = opts_.seed},
       dealer, std::move(deliver), std::move(on_commit));
   builder_ = &stack_->builder();
   rider_ = &stack_->rider();
 
-  // a_bcast path: blocks ride the inbox as kApp frames from this node to
-  // itself, so proposals enter the builder on the node thread like any
-  // other event.
-  bus_.subscribe(my_pid, net::Channel::kApp,
-                 [this](ProcessId from, const net::Payload& block) {
-                   if (from != pid()) return;  // kApp is loopback-only
-                   rider_->a_bcast(block.to_bytes());
-                 });
-
   if (!opts_.wal_dir.empty()) {
     store_ = std::make_unique<storage::VertexStore>(
         committee(), my_pid,
         storage::StoreOptions{opts_.wal_dir, opts_.wal_fsync});
   }
-  catchup_ = std::make_unique<CatchupSync>(bus_, my_pid, *builder_,
-                                           opts_.catchup);
+  catchup_ = std::make_unique<CatchupSync>(bus_, my_pid, *builder_);
   last_heard_us_.assign(committee().n, 0);
   if (opts_.ingress_enable) {
     ingress_ = std::make_unique<ingress::IngressServer>(mempool_,
@@ -111,7 +119,7 @@ void Node::loop() {
   std::vector<net::Frame> batch;
   while (running_.load(std::memory_order_acquire)) {
     batch.clear();
-    (void)inbox_.pop_all(batch, opts_.idle_wait);  // batch itself is the result
+    (void)inbox_.pop_all(batch, kIdleWait);  // batch itself is the result
     const std::uint64_t now = now_us();
     for (const net::Frame& f : batch) {
       last_heard_us_[f.from] = now;
@@ -235,8 +243,8 @@ void Node::maybe_compact() {
 }
 
 void Node::refill_from_mempool() {
-  while (builder_->blocks_pending() < opts_.max_blocks_pending) {
-    std::optional<Bytes> block = mempool_.drain_block(opts_.block_max_txs);
+  while (builder_->blocks_pending() < kMaxBlocksPending) {
+    std::optional<Bytes> block = mempool_.drain_block(kBlockMaxTxs);
     if (!block) return;
     rider_->a_bcast(std::move(*block));
   }
@@ -245,15 +253,6 @@ void Node::refill_from_mempool() {
 ingress::SubmitStatus Node::submit_tx(txpool::Transaction tx) {
   // Internal (non-session) submission: origin 0 means no ack routing.
   return mempool_.submit(std::move(tx), ingress::TxOrigin{});
-}
-
-void Node::a_bcast(Bytes block) {
-  net::Frame f{pid(), net::Channel::kApp, std::move(block)};
-  if (std::this_thread::get_id() == thread_.get_id()) {
-    inbox_.push_unbounded(std::move(f));
-  } else {
-    inbox_.push(std::move(f));
-  }
 }
 
 void Node::stop_loop() {
@@ -332,9 +331,12 @@ metrics::Counters Node::counters() const {
   out.emplace_back("mempool.pending", mempool_.pending());
   out.emplace_back("mempool.in_flight", mempool_.in_flight());
   if (ingress_) metrics::append_prefixed(out, "ingress", ingress_->counters());
-  // Transport-side introspection: backpressure plus whatever the concrete
-  // transport (or a chaos decorator around it) exposes, so fault-injection
-  // soaks are auditable from the same flat snapshot as everything else.
+  // Backpressure on both sides of a link: the receiving inbox's grace
+  // expiries (the only ones in-process links have) and the transport's own
+  // send-queue overflows, plus whatever the concrete transport (or a chaos
+  // decorator around it) exposes, so fault-injection soaks are auditable
+  // from the same flat snapshot as everything else.
+  out.emplace_back("node.inbox_overflows", inbox_.overflows());
   out.emplace_back("transport.backpressure_overflows",
                    transport_->backpressure_overflows());
   metrics::append_prefixed(out, "transport", transport_->counters());

@@ -36,19 +36,14 @@
 
 namespace dr::node {
 
+/// What a deployment or an experiment chooses per node (DESIGN.md §8).
+/// Implementation tuning — batch size, queue bounds, loop pacing, catch-up
+/// timers — is fixed in the .cpp that reads it.
 struct NodeOptions {
-  rbc::RbcKind rbc_kind = rbc::RbcKind::kBracha;
   core::CoinMode coin_mode = core::CoinMode::kPiggyback;
   /// Which commit rule orders the DAG (DESIGN.md §14). kBullshark forces
-  /// builder.rounds_per_wave to 2 (its wave geometry).
+  /// 2-round waves (its wave geometry).
   core::OrderingKind ordering = core::OrderingKind::kDagRider;
-  core::BullsharkOptions bullshark{};
-  /// auto_blocks keeps rounds advancing when the mempool runs dry (the
-  /// paper's "infinitely many blocks" assumption); size 0 = empty filler.
-  /// lag_skip_threshold lets a node that restarted far behind sprint to the
-  /// frontier instead of proposing into already-closed rounds.
-  dag::BuilderOptions builder{.auto_blocks = true, .auto_block_size = 0,
-                              .lag_skip_threshold = 2};
   /// Durable storage (DESIGN.md §10): empty = no persistence (the seed
   /// behaviour); set to a directory to WAL every accepted vertex and own
   /// proposal there and to recover from it on the next start().
@@ -56,11 +51,9 @@ struct NodeOptions {
   /// fsync per WAL append (power-failure durability; default covers process
   /// crashes only, matching the restart tests' crash model).
   bool wal_fsync = false;
-  /// Peer catch-up sync over Channel::kSync.
-  CatchupOptions catchup{};
   /// Live adversarial profile (DESIGN.md §12): kHonest runs the protocol
   /// faithfully; any other value replaces the RBC with an attacking one
-  /// (core/byzantine.hpp). The crafted-SEND profiles require kBracha.
+  /// (core/byzantine.hpp).
   core::ByzantineProfile byzantine = core::ByzantineProfile::kHonest;
   Round gc_depth_rounds = 0;
   /// Laggard-aware GC holdback: a peer heard from within this window pins
@@ -69,17 +62,6 @@ struct NodeOptions {
   /// silent for longer stops constraining the floor. 0 disables the clamp.
   std::uint64_t gc_peer_liveness_us = 2'000'000;
   std::uint64_t seed = 1;
-  /// Transactions drained from the mempool into one proposed block.
-  std::size_t block_max_txs = 256;
-  /// Proposed-block backlog above which the loop stops draining the mempool
-  /// (blocks park in the builder queue; leaving them in the mempool instead
-  /// keeps them eligible for duplicate suppression).
-  std::size_t max_blocks_pending = 2;
-  std::size_t inbox_capacity = 1 << 16;
-  /// Event-loop sleep cap when the inbox is empty.
-  std::chrono::milliseconds idle_wait{1};
-  /// Sharded mempool behind submit()/the ingress tier (DESIGN.md §13).
-  ingress::MempoolOptions mempool{};
   /// Client ingress front end: when enabled, start() also opens a TCP
   /// tx-submission endpoint (ingress.port 0 = kernel-assigned, read back via
   /// ingress_port()) and a_deliver routes commit acks to client sessions.
@@ -174,10 +156,6 @@ class Node {
     return ingress_ ? ingress_->port() : 0;
   }
 
-  /// a_bcast(b): queues an opaque block for proposal, bypassing the mempool.
-  /// Thread-safe; the block rides the inbox to the node thread.
-  void a_bcast(Bytes block);
-
   /// Microseconds since this node's construction (the `time` base of its
   /// delivery records; also the submit_time base for latency measurement).
   std::uint64_t now_us() const {
@@ -197,11 +175,6 @@ class Node {
   /// Atomic: safe to poll while the node runs, unlike counters().
   std::uint64_t proposals_logged() const {
     return proposals_logged_.load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t inbox_overflows() const { return inbox_.overflows(); }
-  std::uint64_t backpressure_overflows() const {
-    return transport_->backpressure_overflows();
   }
 
   /// Flat snapshot of the builder / catch-up / storage counters. Reads

@@ -218,8 +218,10 @@ TEST(ChaosSoak, ChaosCountersSurfaced) {
   EXPECT_GT(counter_value(result.counters, "transport.chaos.drops"), 0u);
   EXPECT_GT(counter_value(result.counters, "transport.chaos.delays"), 0u);
   EXPECT_GT(counter_value(result.counters, "transport.chaos.forwarded"), 0u);
-  // Present even when zero: the backpressure gauge and the remaining fault
-  // classes ride the same snapshot.
+  // Present even when zero: both backpressure gauges (the receiving inbox's
+  // and the transport's) and the remaining fault classes ride the same
+  // snapshot.
+  counter_value(result.counters, "node.inbox_overflows");
   counter_value(result.counters, "transport.backpressure_overflows");
   counter_value(result.counters, "transport.chaos.duplicates");
   counter_value(result.counters, "transport.chaos.reorders");

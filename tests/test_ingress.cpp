@@ -339,7 +339,7 @@ TEST(IngressServer, SubmitReplyAndCommitAckRoundTrip) {
   ASSERT_TRUE(server.start());
   ASSERT_NE(server.port(), 0);
 
-  Client client(Client::Options{"127.0.0.1", server.port(), 256});
+  Client client(Client::Options{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.connect(2'000));
   EXPECT_NE(client.session_id(), 0u);
 
@@ -389,9 +389,9 @@ TEST(IngressServer, RejectsOverCapacitySessionsWithFullHello) {
   IngressServer server(pool, opts);
   ASSERT_TRUE(server.start());
 
-  Client first(Client::Options{"127.0.0.1", server.port(), 256});
+  Client first(Client::Options{"127.0.0.1", server.port()});
   ASSERT_TRUE(first.connect(2'000));
-  Client second(Client::Options{"127.0.0.1", server.port(), 256});
+  Client second(Client::Options{"127.0.0.1", server.port()});
   EXPECT_FALSE(second.connect(2'000));  // kFull hello, then close
 
   first.close();
@@ -408,7 +408,7 @@ TEST(IngressCluster, ClientTxsCommitAndAckThroughNode) {
   cluster.start();
   ASSERT_NE(cluster.ingress_port(0), 0);
 
-  Client client(Client::Options{"127.0.0.1", cluster.ingress_port(0), 256});
+  Client client(Client::Options{"127.0.0.1", cluster.ingress_port(0)});
   ASSERT_TRUE(client.connect(2'000));
 
   constexpr std::uint64_t kTxs = 200;
@@ -457,7 +457,7 @@ TEST(IngressCluster, RestartedNodeDedupsCommittedAndServesFreshTxs) {
   constexpr std::uint64_t kBatchB = 100;
 
   {  // Batch A: submit through node 1 and wait until fully committed.
-    Client client(Client::Options{"127.0.0.1", port, 256});
+    Client client(Client::Options{"127.0.0.1", port});
     ASSERT_TRUE(client.connect(2'000));
     std::uint64_t acked = 0;
     client.on_ack = [&](std::uint64_t, std::uint64_t, std::uint64_t) {
@@ -488,7 +488,7 @@ TEST(IngressCluster, RestartedNodeDedupsCommittedAndServesFreshTxs) {
   }
 
   {  // Reconnect: resubmit all of batch A, then submit fresh batch B.
-    Client client(Client::Options{"127.0.0.1", port, 256});
+    Client client(Client::Options{"127.0.0.1", port});
     ASSERT_TRUE(client.connect(5'000));
     std::uint64_t dup_committed = 0, acked = 0;
     client.on_reply = [&](std::uint64_t, std::uint64_t,
@@ -579,7 +579,7 @@ TEST(IngressCluster, ResubmitAfterRestartOfMuteProposerDeliversExactlyOnce) {
 
   {  // Submit probes through the mute node: accepted, drained into a WAL'd
      // proposal, never disseminated.
-    Client client(Client::Options{"127.0.0.1", port, 256});
+    Client client(Client::Options{"127.0.0.1", port});
     ASSERT_TRUE(client.connect(2'000));
     std::uint64_t accepted = 0;
     client.on_reply = [&](std::uint64_t, std::uint64_t,
@@ -635,7 +635,7 @@ TEST(IngressCluster, ResubmitAfterRestartOfMuteProposerDeliversExactlyOnce) {
   }
 
   {  // Reconnect and resubmit every probe: must dedup, never re-enter.
-    Client client(Client::Options{"127.0.0.1", port, 256});
+    Client client(Client::Options{"127.0.0.1", port});
     ASSERT_TRUE(client.connect(5'000));
     std::uint64_t replies = 0, reaccepted = 0, acked = 0;
     client.on_reply = [&](std::uint64_t, std::uint64_t,

@@ -107,39 +107,6 @@ TEST(NodeRuntime, ThresholdCoinOnWireAlsoAgrees) {
   ASSERT_FALSE(violation.has_value()) << *violation;
 }
 
-TEST(NodeRuntime, ABcastBlocksAreOrderedEverywhere) {
-  const Committee committee = Committee::for_f(1);
-  NodeOptions opts;
-  opts.seed = 9;
-  Cluster cluster(committee, opts);
-  cluster.start();
-
-  // Raw a_bcast path (no mempool): distinctive payloads from every node.
-  for (ProcessId pid = 0; pid < committee.n; ++pid) {
-    for (int i = 0; i < 5; ++i) {
-      Bytes block(64, static_cast<std::uint8_t>(0xA0 + pid));
-      block[1] = static_cast<std::uint8_t>(i);
-      cluster.node(pid).a_bcast(std::move(block));
-    }
-  }
-
-  ASSERT_TRUE(cluster.wait_all_delivered(committee.n * 10ull,
-                                         std::chrono::minutes(2)));
-  cluster.stop();
-
-  const auto violation =
-      core::audit_logs(cluster.delivered_logs(), cluster.commit_logs());
-  ASSERT_FALSE(violation.has_value()) << *violation;
-  // The 64-byte a_bcast blocks reached the total order on every node.
-  for (const auto& log : cluster.delivered_logs()) {
-    std::size_t big = 0;
-    for (const auto& rec : log) {
-      if (rec.block_size == 64) ++big;
-    }
-    EXPECT_GE(big, 1u);
-  }
-}
-
 TEST(NodeRuntime, TcpClusterReachesAgreement) {
   const Committee committee = Committee::for_f(1);
   const auto ports = net::pick_free_ports(committee.n);
@@ -148,7 +115,6 @@ TEST(NodeRuntime, TcpClusterReachesAgreement) {
 
   NodeOptions opts;
   opts.seed = 21;
-  opts.builder.auto_block_size = 16;
   const coin::CoinDealer dealer(opts.seed ^ coin::kDealerSeedTweak, committee);
 
   std::vector<std::unique_ptr<Node>> nodes;
