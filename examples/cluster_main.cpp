@@ -2,9 +2,10 @@
 // runtime (src/node/). Three modes:
 //
 //   --mode inproc   (default) n nodes as OS threads in this process,
-//                   shared-memory transport
-//   --mode tcp      n nodes in this process, loopback TCP links (the full
-//                   wire path: framing, handshakes, reader/writer threads)
+//                   shared-memory transport; submits the --txs workload
+//   --mode tcp      the same node::Cluster and workload over loopback TCP
+//                   links (the full wire path: framing, handshakes,
+//                   reader/writer threads)
 //   --mode tcp2     forks into TWO OS processes, each hosting half of the
 //                   nodes, connected over loopback TCP. The halves verify
 //                   agreement for real: the child streams the digest chain
@@ -92,10 +93,13 @@ int report(const std::vector<std::vector<core::DeliveredRecord>>& delivered,
   return 0;
 }
 
-int run_inproc(const Args& a) {
+/// --mode inproc and --mode tcp: one node::Cluster in this process.
+int run_cluster(const Args& a, bool tcp) {
   node::NodeOptions opts;
   opts.seed = a.seed;
-  node::Cluster cluster(Committee::for_n(a.n), opts);
+  node::ClusterTweaks tweaks;
+  tweaks.tcp_transport = tcp;
+  node::Cluster cluster(Committee::for_n(a.n), opts, std::move(tweaks));
   cluster.start();
   const auto t0 = std::chrono::steady_clock::now();
   submit_workload(cluster, a.txs);
@@ -110,7 +114,8 @@ int run_inproc(const Args& a) {
   return report(cluster.delivered_logs(), cluster.commit_logs(), secs);
 }
 
-/// Builds the nodes this process hosts ([lo, hi)) on TCP transports.
+/// Builds the nodes this half of --mode tcp2 hosts ([lo, hi)) on TCP
+/// transports.
 std::vector<std::unique_ptr<node::Node>> make_tcp_nodes(
     const Committee& committee, const std::vector<net::TcpPeer>& peers,
     const coin::CoinDealer& dealer, std::uint64_t seed, ProcessId lo,
@@ -155,35 +160,6 @@ crypto::Digest prefix_digest(const std::vector<core::DeliveredRecord>& log,
     w.u32(log[i].source);
   }
   return crypto::sha256(w.bytes());
-}
-
-int run_tcp_single(const Args& a) {
-  const Committee committee = Committee::for_n(a.n);
-  const auto ports = net::pick_free_ports(a.n);
-  std::vector<net::TcpPeer> peers;
-  for (auto p : ports) peers.push_back(net::TcpPeer{"127.0.0.1", p});
-  const coin::CoinDealer dealer(a.seed ^ coin::kDealerSeedTweak, committee);
-
-  auto nodes = make_tcp_nodes(committee, peers, dealer, a.seed, 0, a.n);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& n : nodes) n->start();
-  if (!wait_delivered(nodes, a.blocks)) {
-    std::fprintf(stderr, "tcp cluster stalled\n");
-    return 1;
-  }
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  for (auto& n : nodes) n->stop_loop();
-  for (auto& n : nodes) n->stop_transport();
-
-  std::vector<std::vector<core::DeliveredRecord>> delivered;
-  std::vector<std::vector<core::CommitRecord>> commits;
-  for (auto& n : nodes) {
-    delivered.push_back(n->delivered_snapshot());
-    commits.push_back(n->commits_snapshot());
-  }
-  return report(delivered, commits, secs);
 }
 
 int run_tcp_two_processes(const Args& a) {
@@ -278,8 +254,8 @@ int run_tcp_two_processes(const Args& a) {
 
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
-  if (a.mode == "inproc") return run_inproc(a);
-  if (a.mode == "tcp") return run_tcp_single(a);
+  if (a.mode == "inproc") return run_cluster(a, /*tcp=*/false);
+  if (a.mode == "tcp") return run_cluster(a, /*tcp=*/true);
   if (a.mode == "tcp2") return run_tcp_two_processes(a);
   std::fprintf(stderr, "unknown --mode %s\n", a.mode.c_str());
   return 2;

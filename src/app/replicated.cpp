@@ -12,12 +12,10 @@ ReplicatedService::ReplicatedService(core::System& sys, MachineFactory factory,
   DR_ASSERT_MSG(!correct_.empty(), "ReplicatedService needs a correct process");
   for (ProcessId p = 0; p < sys_.n(); ++p) {
     machines_.push_back(factory());
-    // One shard keeps the drain FIFO; an overloaded simulated client may
-    // queue up to 100k txs per replica before submissions are refused.
-    pools_.push_back(std::make_unique<ingress::ShardedMempool>(
-        ingress::MempoolOptions{.shards = 1,
-                                .shard_capacity = 100'000,
-                                .busy_watermark = 1.0}));
+    // An overloaded simulated client may queue up to 100k txs per replica
+    // before submissions are refused (no early kBusy watermark).
+    pools_.push_back(std::make_unique<ingress::Mempool>(
+        ingress::MempoolOptions{.capacity = 100'000, .busy_watermark = 1.0}));
   }
   for (ProcessId p : correct_) {
     sys_.node(p).set_app_deliver(

@@ -22,9 +22,8 @@ class ReplicatedService {
  public:
   using MachineFactory = std::function<std::unique_ptr<StateMachine>()>;
 
-  /// Builds one state machine and one single-shard (FIFO) mempool per
-  /// process and hooks block delivery into deterministic execution. Call
-  /// before System::start().
+  /// Builds one state machine and one mempool per process and hooks block
+  /// delivery into deterministic execution. Call before System::start().
   ReplicatedService(core::System& sys, MachineFactory factory,
                     std::size_t batch_max = 32,
                     sim::SimTime pump_every = 50);
@@ -59,7 +58,7 @@ class ReplicatedService {
   std::size_t batch_max_;
   sim::SimTime pump_every_;
   std::vector<std::unique_ptr<StateMachine>> machines_;
-  std::vector<std::unique_ptr<ingress::ShardedMempool>> pools_;
+  std::vector<std::unique_ptr<ingress::Mempool>> pools_;
   std::vector<ProcessId> correct_;
   std::unordered_set<std::uint64_t> committed_ids_;
   metrics::Summary latency_;

@@ -15,7 +15,7 @@ ProcessStack::ProcessStack(net::Bus& bus, ProcessId pid, StackOptions opts,
     opts.builder.rounds_per_wave = rpw;
   }
 
-  rbc_ = rbc::make_factory(opts.rbc_kind, opts.gossip)(bus, pid, opts.seed);
+  rbc_ = rbc::make_factory(opts.rbc_kind)(bus, pid, opts.seed);
   if (opts.byzantine != ByzantineProfile::kHonest) {
     DR_ASSERT_MSG(opts.byzantine == ByzantineProfile::kMute ||
                       opts.rbc_kind == rbc::RbcKind::kBracha,

@@ -28,7 +28,6 @@ enum class CoinMode {
 /// from its own config (SystemConfig, NodeOptions) with its own defaults.
 struct StackOptions {
   rbc::RbcKind rbc_kind = rbc::RbcKind::kBracha;
-  rbc::GossipParams gossip;
   ByzantineProfile byzantine = ByzantineProfile::kHonest;
   CoinMode coin_mode = CoinMode::kThreshold;
   OrderingKind ordering = OrderingKind::kDagRider;

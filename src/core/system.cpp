@@ -53,7 +53,6 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed) {
     // honest stack.
     StackOptions opts{
         .rbc_kind = cfg_.rbc_kind,
-        .gossip = cfg_.gossip,
         .byzantine = faults_[pid] == FaultKind::kEquivocate
                          ? ByzantineProfile::kEquivocate
                          : ByzantineProfile::kHonest,

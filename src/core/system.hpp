@@ -35,7 +35,6 @@ struct SystemConfig {
   Committee committee = Committee::for_f(1);
   std::uint64_t seed = 1;
   rbc::RbcKind rbc_kind = rbc::RbcKind::kBracha;
-  rbc::GossipParams gossip;
   CoinMode coin_mode = CoinMode::kThreshold;
   /// Which commit rule orders the DAG (DESIGN.md §14). kBullshark forces
   /// builder.rounds_per_wave to 2 (its wave geometry).

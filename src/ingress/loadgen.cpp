@@ -20,9 +20,13 @@ std::uint64_t mono_us() {
 }
 
 /// Arrivals shed per iteration cap: under overload the open loop drops time
-/// debt instead of building an unbounded backlog (counted as
-/// overload_skips).
+/// debt instead of building an unbounded backlog.
 constexpr std::size_t kMaxArrivalsPerTick = 16'384;
+constexpr std::size_t kPayloadBytes = 32;
+/// Zipf exponent of the client popularity distribution.
+constexpr double kZipfS = 1.0;
+/// Max txs of one client coalesced into a single SubmitBatch.
+constexpr std::size_t kBatchMax = 64;
 
 }  // namespace
 
@@ -80,7 +84,7 @@ struct LoadGen::Driver {
     zipf_cdf.resize(opts.clients);
     double total = 0.0;
     for (std::uint64_t i = 0; i < opts.clients; ++i) {
-      total += 1.0 / std::pow(static_cast<double>(i + 1), opts.zipf_s);
+      total += 1.0 / std::pow(static_cast<double>(i + 1), kZipfS);
       zipf_cdf[i] = total;
     }
   }
@@ -99,27 +103,14 @@ struct LoadGen::Driver {
   void wire_callbacks(Client& c) {
     c.on_reply = [this](std::uint64_t client_id, std::uint64_t tx_id,
                         SubmitStatus status) {
-      switch (status) {
-        case SubmitStatus::kAccepted:
-          ++report.accepted;
-          return;  // stays outstanding until the ack
-        case SubmitStatus::kBusy:
-          ++report.busy;
-          break;
-        case SubmitStatus::kDuplicatePending:
-          ++report.dup_pending;
-          return;  // first submission still owns the eventual ack
-        case SubmitStatus::kDuplicateCommitted:
-          ++report.dup_committed;
-          break;
-        case SubmitStatus::kShardFull:
-          ++report.shard_full;
-          break;
-        case SubmitStatus::kTooLarge:
-          ++report.too_large;
-          break;
+      // An accepted tx stays outstanding until its ack; on a duplicate the
+      // first submission still owns the eventual ack. Any other verdict
+      // means no ack will come.
+      if (status == SubmitStatus::kAccepted ||
+          status == SubmitStatus::kDuplicatePending) {
+        return;
       }
-      outstanding.erase(key_of(client_id, tx_id));  // won't be acked
+      outstanding.erase(key_of(client_id, tx_id));
     };
     c.on_ack = [this](std::uint64_t client_id, std::uint64_t tx_id,
                       std::uint64_t /*server_latency_us*/) {
@@ -137,7 +128,6 @@ struct LoadGen::Driver {
     conns[i] = std::make_unique<Client>(conn_options(i));
     wire_callbacks(*conns[i]);
     if (conns[i]->connect(opts.connect_timeout_ms)) return true;
-    ++report.connect_failures;
     conns[i].reset();
     return false;
   }
@@ -146,13 +136,11 @@ struct LoadGen::Driver {
                   std::uint64_t submit_us, bool resubmit) {
     const std::size_t conn = conn_of(client_id);
     if (conns[conn] == nullptr || !conns[conn]->connected()) {
-      ++report.local_backpressure;
       if (!resubmit) outstanding.erase(key_of(client_id, tx_id));
       return;
     }
     pending[conn][client_id].push_back(
-        TxSubmit{tx_id, loadgen_payload(client_id, tx_id,
-                                        opts.payload_bytes)});
+        TxSubmit{tx_id, loadgen_payload(client_id, tx_id, kPayloadBytes)});
     if (!resubmit) {
       outstanding.emplace(key_of(client_id, tx_id), submit_us);
       ++report.submitted;
@@ -168,11 +156,11 @@ struct LoadGen::Driver {
       Client* c = conns[conn].get();
       for (auto& [client_id, txs] : per_client) {
         for (std::size_t base = 0; base < txs.size();
-             base += opts.batch_max) {
+             base += kBatchMax) {
           SubmitBatch batch;
           batch.client_id = client_id;
           const std::size_t end =
-              std::min(txs.size(), base + opts.batch_max);
+              std::min(txs.size(), base + kBatchMax);
           batch.txs.assign(
               std::make_move_iterator(txs.begin() +
                                       static_cast<std::ptrdiff_t>(base)),
@@ -182,7 +170,6 @@ struct LoadGen::Driver {
             // Conn gone or its out-queue is full: shed the chunk.
             for (const TxSubmit& tx : batch.txs) {
               outstanding.erase(key_of(client_id, tx.tx_id));
-              ++report.local_backpressure;
             }
           }
         }
@@ -258,20 +245,16 @@ struct LoadGen::Driver {
       return;
     }
     const std::uint64_t start = mono_us();
-    const std::uint64_t end_us =
-        opts.duration_ms == 0 ? 0 : start + opts.duration_ms * 1000;
     const double us_per_tx = 1e6 / opts.rate_tps;
     double next_arrival = static_cast<double>(start);
     std::uint64_t next_churn =
         opts.churn_period_ms == 0 ? 0 : start + opts.churn_period_ms * 1000;
     while (!gen.stop_.load(std::memory_order_acquire)) {
       const std::uint64_t now = mono_us();
-      if (end_us != 0 && now >= end_us) break;
       // Open-loop Poisson arrivals (exponential gaps, rate * population).
       std::size_t burst = 0;
       while (next_arrival <= static_cast<double>(now)) {
         if (burst++ >= kMaxArrivalsPerTick) {
-          ++report.overload_skips;
           next_arrival = static_cast<double>(now);
           break;
         }
@@ -307,8 +290,6 @@ struct LoadGen::Driver {
       poll_wait(5);
       pump_conns();
     }
-    report.outstanding_at_end = outstanding.size();
-    report.elapsed_ms = (mono_us() - start) / 1000;
     report.ok = true;
     for (auto& c : conns) {
       if (c != nullptr) c->close();
@@ -318,10 +299,7 @@ struct LoadGen::Driver {
 
 LoadGen::LoadGen(LoadGenOptions opts) : opts_(std::move(opts)) {}
 
-LoadGen::~LoadGen() {
-  request_stop();
-  if (thread_.joinable()) thread_.join();
-}
+LoadGen::~LoadGen() { (void)stop_and_report(); }
 
 bool LoadGen::start() {
   if (started_) return false;
@@ -334,15 +312,10 @@ bool LoadGen::start() {
   return true;
 }
 
-LoadGenReport LoadGen::wait_and_report() {
-  if (thread_.joinable()) thread_.join();
-  joined_ = true;
-  return report_;
-}
-
 LoadGenReport LoadGen::stop_and_report() {
-  request_stop();
-  return wait_and_report();
+  stop_.store(true, std::memory_order_release);
+  if (thread_.joinable()) thread_.join();
+  return report_;
 }
 
 }  // namespace dr::ingress

@@ -1,11 +1,11 @@
-// Open-loop client load generator (DESIGN.md §13). Simulates a large
-// population of logical clients (tens of thousands to a million) multiplexed
-// over a bounded set of real TCP connections: arrivals follow an aggregate
+// Open-loop client load generator (DESIGN.md §13), the chaos soak's client
+// engine. Simulates a large population of logical clients multiplexed over
+// a bounded set of real TCP connections: arrivals follow an aggregate
 // Poisson process at a configured rate, the submitting client is drawn from
-// a Zipf distribution (a few hot clients, a long cold tail), and an optional
-// churn schedule closes and reopens connections mid-run, resubmitting the
-// un-acked transactions of the affected clients — the reconnect path the
-// mempool's origin re-homing exists for.
+// a Zipf distribution (s = 1: a few hot clients, a long cold tail), and an
+// optional churn schedule closes and reopens connections mid-run,
+// resubmitting the un-acked transactions of the affected clients — the
+// reconnect path the mempool's origin re-homing exists for.
 //
 // Everything is seeded and deterministic on the loadgen side: a resubmitted
 // tx regenerates byte-identical payload from (client_id, tx_id), so it maps
@@ -41,40 +41,22 @@ struct LoadGenOptions {
   std::size_t connections = 64;
   /// Ingress endpoints; connection i targets targets[i % targets.size()].
   std::vector<LoadGenTarget> targets;
-  /// 0 = run until request_stop().
-  std::uint64_t duration_ms = 0;
   /// Aggregate open-loop arrival rate across the whole population.
   double rate_tps = 10'000.0;
-  std::size_t payload_bytes = 32;
-  /// Zipf exponent for the client popularity distribution (0 = uniform).
-  double zipf_s = 1.0;
   /// Every churn_period_ms one connection is torn down and redialed, and
   /// the outstanding txs of its clients are resubmitted. 0 = no churn.
   std::uint64_t churn_period_ms = 0;
   std::uint64_t seed = 1;
-  /// Max txs of one client coalesced into a single SubmitBatch.
-  std::size_t batch_max = 64;
   int connect_timeout_ms = 2'000;
-  /// After the run window, keep pumping acks for up to this long.
+  /// After stop_and_report(), keep pumping acks for up to this long.
   std::uint64_t drain_ms = 2'000;
 };
 
 struct LoadGenReport {
-  std::uint64_t submitted = 0;      ///< txs handed to a connection
-  std::uint64_t accepted = 0;
-  std::uint64_t busy = 0;
-  std::uint64_t dup_pending = 0;
-  std::uint64_t dup_committed = 0;
-  std::uint64_t shard_full = 0;
-  std::uint64_t too_large = 0;
+  std::uint64_t submitted = 0;  ///< txs handed to a connection
   std::uint64_t acked = 0;
   std::uint64_t resubmitted = 0;
-  std::uint64_t local_backpressure = 0;  ///< conn out-queue full, tx dropped
-  std::uint64_t overload_skips = 0;      ///< arrival debt shed under overload
   std::uint64_t churn_events = 0;
-  std::uint64_t connect_failures = 0;
-  std::uint64_t outstanding_at_end = 0;
-  std::uint64_t elapsed_ms = 0;
   /// Client-observed submit -> commit-ack latency.
   metrics::Summary ack_latency_ms;
   bool ok = false;
@@ -91,13 +73,8 @@ class LoadGen {
 
   /// Spawns the driver thread. One LoadGen = one run.
   bool start();
-  /// Asks the driver to wind down early (it still drains acks).
-  void request_stop() { stop_.store(true, std::memory_order_release); }
-  /// Joins the driver — it exits on its own once duration_ms elapses — and
-  /// returns the final report. Callers without a duration must
-  /// request_stop() first (or use stop_and_report()).
-  LoadGenReport wait_and_report();
-  /// request_stop() + wait_and_report().
+  /// Stops submitting, drains acks for up to drain_ms, joins the driver and
+  /// returns the final report.
   LoadGenReport stop_and_report();
 
  private:
@@ -107,7 +84,6 @@ class LoadGen {
   std::thread thread_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
-  bool joined_ = false;
   LoadGenReport report_;
 };
 

@@ -1,13 +1,14 @@
-// Digest-partitioned mempool (DESIGN.md §13), the one mempool of both
-// drivers. On the runtime the ingress I/O thread and any number of client
-// threads submit concurrently, the node thread drains blocks, and contention
-// stays per-shard; the simulator's workload drivers run it with one shard,
-// which makes the drain order plain FIFO.
+// The one mempool of both drivers (DESIGN.md §13): one mutex over one
+// pending FIFO, one in-flight map and one recently-committed window, so
+// blocks drain oldest-first on the simulator and the runtime alike. On the
+// runtime two kinds of thread touch it: submitters (the ingress I/O thread,
+// callers of Node::submit_tx) and the node thread, which drains proposals
+// and marks delivered blocks committed.
 //
 // Identity is the tx digest — sha256 over (id, payload), excluding the
 // server-stamped submit_time so a client resubmitting the same logical tx
 // (e.g. after a reconnect) maps to the same digest on every node. Each
-// digest lives in exactly one shard for its whole life cycle:
+// digest moves through:
 //   pending (FIFO, waiting for a block) -> in-flight (drained into a
 //   proposal, awaiting a_deliver) -> recently-committed (bounded dedup
 //   window so replays after commit don't double-enter the DAG).
@@ -16,10 +17,8 @@
 // only place a tx block is encoded or decoded on either driver's path.
 #pragma once
 
-#include <atomic>
 #include <cstring>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -55,19 +54,18 @@ struct CommittedTx {
   std::optional<TxOrigin> origin;  ///< set only for session-owned txs
 };
 
+/// Recently-committed digests remembered for post-commit dedup. Bounded:
+/// commits beyond the window are forgotten and a very late replay would be
+/// re-accepted (DESIGN.md §13).
+inline constexpr std::size_t kCommittedWindow = 1 << 16;
+
 struct MempoolOptions {
-  std::uint32_t shards = 8;
-  /// Hard per-shard bound on pending txs; beyond it submit() returns
-  /// kShardFull (backpressure, not silent drops).
-  std::size_t shard_capacity = 16'384;
-  /// Total recently-committed digests remembered for post-commit dedup,
-  /// split evenly across shards. Bounded: commits beyond the window are
-  /// forgotten and a very late replay would be re-accepted (DESIGN.md §13).
-  std::size_t committed_window = 1 << 16;
-  /// Fraction of total pending capacity above which admission turns kBusy —
-  /// the explicit "DagBuilder is behind" signal, softer than kShardFull.
+  /// Hard bound on pending txs; beyond it submit() returns kShardFull
+  /// (backpressure, not silent drops).
+  std::size_t capacity = 131'072;
+  /// Fraction of capacity above which admission turns kBusy — the explicit
+  /// "DagBuilder is behind" signal, softer than kShardFull.
   double busy_watermark = 0.75;
-  std::size_t max_tx_bytes = kMaxTxBytes;
 };
 
 /// Monotonic counters, snapshot via stats().
@@ -80,28 +78,30 @@ struct MempoolStats {
   std::uint64_t rejected_too_large = 0;
   std::uint64_t drained = 0;
   std::uint64_t committed_with_origin = 0;  ///< commits that owned a session
-  std::uint64_t committed_foreign = 0;      ///< committed via another node
+  /// Committed via another node: this node held the digest neither pending
+  /// nor in flight.
+  std::uint64_t committed_foreign = 0;
   std::uint64_t window_evictions = 0;
   std::uint64_t restored_in_flight = 0;  ///< txs re-registered from the WAL
 };
 
-class ShardedMempool {
+class Mempool {
  public:
-  explicit ShardedMempool(MempoolOptions opts = {});
+  explicit Mempool(MempoolOptions opts = {});
 
-  ShardedMempool(const ShardedMempool&) = delete;
-  ShardedMempool& operator=(const ShardedMempool&) = delete;
+  Mempool(const Mempool&) = delete;
+  Mempool& operator=(const Mempool&) = delete;
 
   /// Full admission pipeline: size gate, committed-window dedup,
-  /// pending/in-flight dedup, busy watermark, shard capacity. On
+  /// pending/in-flight dedup, busy watermark, capacity. On
   /// kDuplicatePending from the *same* (client_id, tx_id) — a reconnecting
   /// client resubmitting — the stored origin's session is re-homed to the
   /// new session so the eventual ack follows the client.
   SubmitStatus submit(txpool::Transaction tx, TxOrigin origin);
 
-  /// Drains up to max_txs pending transactions round-robin across shards
-  /// (node thread). Drained txs move to the in-flight set: still deduped,
-  /// no longer proposable, origins retained for ack routing.
+  /// Drains up to max_txs pending transactions, oldest first (node thread).
+  /// Drained txs move to the in-flight set: still deduped, no longer
+  /// proposable, origins retained for ack routing.
   std::vector<txpool::Transaction> drain(std::size_t max_txs);
 
   /// Marks one delivered tx digest committed (node thread, a_deliver path):
@@ -133,24 +133,12 @@ class ShardedMempool {
 
   bool recently_committed(const crypto::Digest& digest) const;
 
-  std::size_t pending() const {
-    return pending_count_.load(std::memory_order_relaxed);
-  }
-  std::size_t in_flight() const {
-    return in_flight_count_.load(std::memory_order_relaxed);
-  }
+  std::size_t pending() const;
+  std::size_t in_flight() const;
   /// The admission signal: pending load at/above the busy watermark.
-  bool busy() const {
-    return pending() >= busy_threshold_;
-  }
-
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-  std::uint32_t shard_of(const crypto::Digest& digest) const;
+  bool busy() const;
 
   MempoolStats stats() const;
-  const MempoolOptions& options() const { return opts_; }
 
  private:
   struct DigestHash {
@@ -167,37 +155,21 @@ class ShardedMempool {
     TxOrigin origin;
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    /// FIFO of pending digests; entries whose digest left `pending` (e.g.
-    /// committed via a foreign block first) are skipped lazily on drain.
-    std::deque<crypto::Digest> fifo;
-    std::unordered_map<crypto::Digest, PendingTx, DigestHash> pending;
-    std::unordered_map<crypto::Digest, TxOrigin, DigestHash> in_flight;
-    std::unordered_set<crypto::Digest, DigestHash> committed;
-    std::deque<crypto::Digest> committed_ring;  ///< eviction order
-  };
+  /// mark_committed() with mu_ already held.
+  std::optional<TxOrigin> mark_committed_locked(const crypto::Digest& digest);
 
-  MempoolOptions opts_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t committed_per_shard_;
-  std::size_t busy_threshold_;
+  const std::size_t capacity_;
+  const std::size_t busy_threshold_;
 
-  std::atomic<std::size_t> pending_count_{0};
-  std::atomic<std::size_t> in_flight_count_{0};
-  std::atomic<std::uint32_t> drain_cursor_{0};
-
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_busy_{0};
-  std::atomic<std::uint64_t> rejected_dup_pending_{0};
-  std::atomic<std::uint64_t> rejected_dup_committed_{0};
-  std::atomic<std::uint64_t> rejected_overflow_{0};
-  std::atomic<std::uint64_t> rejected_too_large_{0};
-  std::atomic<std::uint64_t> drained_{0};
-  std::atomic<std::uint64_t> committed_with_origin_{0};
-  std::atomic<std::uint64_t> committed_foreign_{0};
-  std::atomic<std::uint64_t> window_evictions_{0};
-  std::atomic<std::uint64_t> restored_in_flight_{0};
+  mutable std::mutex mu_;
+  /// FIFO of pending digests; entries whose digest left `pending_` (e.g.
+  /// committed via a foreign block first) are skipped lazily on drain.
+  std::deque<crypto::Digest> fifo_;
+  std::unordered_map<crypto::Digest, PendingTx, DigestHash> pending_;
+  std::unordered_map<crypto::Digest, TxOrigin, DigestHash> in_flight_;
+  std::unordered_set<crypto::Digest, DigestHash> committed_;
+  std::deque<crypto::Digest> committed_ring_;  ///< eviction order
+  MempoolStats stats_;
 };
 
 }  // namespace dr::ingress

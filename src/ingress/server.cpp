@@ -23,7 +23,7 @@ constexpr int kPollIntervalMs = 20;
 
 std::uint64_t compose_tx_id(std::uint64_t client_id, std::uint64_t tx_id) {
   // splitmix64-style finalizer over the pair: deterministic (resubmits
-  // reproduce the digest) and well-spread across mempool shards.
+  // reproduce the digest) and well-spread over the 64-bit id space.
   std::uint64_t x =
       client_id * 0x9E3779B97F4A7C15ull ^ (tx_id + 0xD1B54A32D192ED03ull);
   x ^= x >> 30;
@@ -81,7 +81,7 @@ struct IngressServer::Session {
   std::size_t out_offset = 0;  ///< consumed prefix of out.front()
 };
 
-IngressServer::IngressServer(ShardedMempool& mempool, ServerOptions opts)
+IngressServer::IngressServer(Mempool& mempool, ServerOptions opts)
     : mempool_(mempool), opts_(std::move(opts)) {}
 
 IngressServer::~IngressServer() { stop(); }

@@ -1,7 +1,7 @@
 // TCP tx-submission front end (DESIGN.md §13). One poll()-driven I/O thread
 // owns every client session: it accepts connections, runs the hello
 // exchange, decodes SubmitBatch frames, pushes transactions into the
-// ShardedMempool with their origin attached, answers with per-tx
+// Mempool with their origin attached, answers with per-tx
 // SubmitReply verdicts, and flushes CommitAcks queued by the node thread's
 // a_deliver path back to the owning session.
 //
@@ -60,7 +60,7 @@ struct ServerOptions {
 
 class IngressServer {
  public:
-  IngressServer(ShardedMempool& mempool, ServerOptions opts);
+  IngressServer(Mempool& mempool, ServerOptions opts);
   ~IngressServer();
 
   IngressServer(const IngressServer&) = delete;
@@ -97,7 +97,7 @@ class IngressServer {
   void flush_out(Session& s);
   void close_session(std::size_t idx);
 
-  ShardedMempool& mempool_;
+  Mempool& mempool_;
   ServerOptions opts_;
 
   int listen_fd_ = -1;

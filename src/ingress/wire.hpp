@@ -53,7 +53,7 @@ Expected<ClientHello> decode_client_hello(BytesView data);
 Expected<ServerHello> decode_server_hello(BytesView data);
 
 /// Per-transaction admission verdict, carried in SubmitReply. kAccepted is
-/// the only status that promises the tx entered a mempool shard; everything
+/// the only status that promises the tx entered the mempool; everything
 /// else is explicit backpressure or dedup (DESIGN.md §13 backpressure
 /// contract) and the client must not expect a CommitAck for that tx.
 enum class SubmitStatus : std::uint8_t {
@@ -61,7 +61,7 @@ enum class SubmitStatus : std::uint8_t {
   kBusy = 1,                ///< admission watermark hit: retry later
   kDuplicatePending = 2,    ///< same digest already pending / proposed
   kDuplicateCommitted = 3,  ///< same digest in the recently-committed window
-  kShardFull = 4,           ///< owning shard at hard capacity
+  kShardFull = 4,           ///< mempool at hard capacity (v1 wire name)
   kTooLarge = 5,            ///< payload above kMaxTxBytes
 };
 inline constexpr std::uint8_t kSubmitStatusCount = 6;

@@ -1,7 +1,7 @@
 // n-node in-process cluster: one OS thread per node over the shared-memory
 // transport (net::InProcNetwork) or loopback TCP, with the threshold-coin
 // trusted setup derived from a single master seed. This is the fixture the
-// runtime tests, the chaos soak, the loadgen, perfbench and the ordering
+// runtime tests, the chaos soak, perfbench, cluster_main and the ordering
 // head-to-head bench drive; cluster_main's two-process mode assembles its
 // nodes by hand because its processes don't share an address space.
 #pragma once
@@ -29,9 +29,9 @@ struct ClusterTweaks {
   TransportWrap transport_wrap;
   std::vector<core::ByzantineProfile> profiles;  ///< empty = all honest
   /// Node-to-node links over loopback TCP (net::TcpTransport) instead of the
-  /// shared-memory transport — the configuration `loadgen --self-cluster`
-  /// drives so client traffic and protocol traffic share a real network
-  /// stack.
+  /// shared-memory transport: the full wire path (framing, handshakes,
+  /// reader/writer threads), and with ingress enabled, client traffic and
+  /// protocol traffic share a real network stack.
   bool tcp_transport = false;
 };
 

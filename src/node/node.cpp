@@ -57,7 +57,6 @@ Node::Node(std::unique_ptr<net::Transport> transport,
   stack_ = std::make_unique<core::ProcessStack>(
       bus_, my_pid,
       core::StackOptions{.rbc_kind = rbc::RbcKind::kBracha,
-                         .gossip = {},  // gossip RBC tuning is sim-only
                          .byzantine = opts_.byzantine,
                          .coin_mode = opts_.coin_mode,
                          .ordering = opts_.ordering,

@@ -7,8 +7,8 @@
 // including this node's own broadcasts looping back, is dispatched on the
 // node thread from the inbox. Thread-safety exists only at the boundaries:
 // the net::Inbox (transport/link threads push, node thread drains), the
-// sharded mempool's per-shard locks (client/ingress threads submit, node
-// thread drains), the ingress server's ack queue (node thread enqueues, the
+// mempool's one lock (the ingress I/O thread and submit_tx callers submit,
+// the node thread drains and commits), the ingress server's ack queue (node thread enqueues, the
 // ingress I/O thread flushes), and the delivered/commit log mutex (node
 // thread appends, observers snapshot). Nothing inside rbc/, dag/, or core/
 // ever sees two threads.
@@ -149,7 +149,7 @@ class Node {
   /// overload are client-facing backpressure, not silent drops).
   ingress::SubmitStatus submit_tx(txpool::Transaction tx);
 
-  ingress::ShardedMempool& mempool() { return mempool_; }
+  ingress::Mempool& mempool() { return mempool_; }
   /// Non-null iff opts.ingress_enable; the TCP port is assigned in start().
   ingress::IngressServer* ingress() { return ingress_.get(); }
   std::uint16_t ingress_port() const {
@@ -214,7 +214,7 @@ class Node {
   /// now_us() of the last frame received from each peer (node thread only).
   std::vector<std::uint64_t> last_heard_us_;
 
-  ingress::ShardedMempool mempool_;
+  ingress::Mempool mempool_;
   std::unique_ptr<ingress::IngressServer> ingress_;
 
   mutable std::mutex log_mu_;

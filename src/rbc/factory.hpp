@@ -27,7 +27,7 @@ inline const char* to_string(RbcKind kind) {
   return "?";
 }
 
-inline RbcFactory make_factory(RbcKind kind, GossipParams gossip_params = {}) {
+inline RbcFactory make_factory(RbcKind kind) {
   switch (kind) {
     case RbcKind::kBracha:
       return [](net::Bus& net, ProcessId pid, std::uint64_t) {
@@ -42,8 +42,8 @@ inline RbcFactory make_factory(RbcKind kind, GossipParams gossip_params = {}) {
         return std::make_unique<AvidRbc>(net, pid);
       };
     case RbcKind::kGossip:
-      return [gossip_params](net::Bus& net, ProcessId pid, std::uint64_t seed) {
-        return std::make_unique<GossipRbc>(net, pid, seed, gossip_params);
+      return [](net::Bus& net, ProcessId pid, std::uint64_t seed) {
+        return std::make_unique<GossipRbc>(net, pid, seed);
       };
     case RbcKind::kOracle:
       return [](net::Bus& net, ProcessId pid, std::uint64_t) {

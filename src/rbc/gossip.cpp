@@ -7,6 +7,13 @@
 
 namespace dr::rbc {
 
+namespace {
+
+/// Fraction of the echo sample whose echoes a delivery requires.
+constexpr double kEchoThreshold = 0.66;
+
+}  // namespace
+
 std::vector<ProcessId> GossipRbc::sample_of(std::uint64_t system_seed,
                                             std::uint32_t n, ProcessId owner,
                                             std::uint32_t size, const char* tag) {
@@ -25,21 +32,15 @@ std::vector<ProcessId> GossipRbc::sample_of(std::uint64_t system_seed,
   return ids;
 }
 
-GossipRbc::GossipRbc(net::Bus& net, ProcessId pid, std::uint64_t system_seed,
-                     GossipParams params)
+GossipRbc::GossipRbc(net::Bus& net, ProcessId pid, std::uint64_t system_seed)
     : net_(net), pid_(pid) {
   const std::uint32_t n = net.n();
   const double ln_n = std::log(std::max<std::uint32_t>(n, 2));
-  fanout_ = params.gossip_fanout != 0
-                ? params.gossip_fanout
-                : static_cast<std::uint32_t>(std::ceil(2.0 * ln_n)) + 2;
-  sample_ = params.echo_sample != 0
-                ? params.echo_sample
-                : static_cast<std::uint32_t>(std::ceil(4.0 * ln_n)) + 4;
-  fanout_ = std::min(fanout_, n);
-  sample_ = std::min(sample_, n);
+  // Gossip fanout g = ceil(2 ln n) + 2 and echo sample e = ceil(4 ln n) + 4.
+  fanout_ = std::min(static_cast<std::uint32_t>(std::ceil(2.0 * ln_n)) + 2, n);
+  sample_ = std::min(static_cast<std::uint32_t>(std::ceil(4.0 * ln_n)) + 4, n);
   echo_needed_ = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(std::ceil(params.echo_threshold * sample_)));
+      1, static_cast<std::uint32_t>(std::ceil(kEchoThreshold * sample_)));
 
   gossip_targets_ = sample_of(system_seed, n, pid, fanout_, "gossip/murmur");
   echo_sample_ = sample_of(system_seed, n, pid, sample_, "gossip/sieve");

@@ -29,16 +29,9 @@
 
 namespace dr::rbc {
 
-struct GossipParams {
-  std::uint32_t gossip_fanout = 0;   ///< g; 0 -> auto: ceil(2 ln n) + 2
-  std::uint32_t echo_sample = 0;     ///< e; 0 -> auto: ceil(4 ln n) + 4
-  double echo_threshold = 0.66;      ///< fraction of echo sample required
-};
-
 class GossipRbc final : public ReliableBroadcast {
  public:
-  GossipRbc(net::Bus& net, ProcessId pid, std::uint64_t system_seed,
-            GossipParams params = {});
+  GossipRbc(net::Bus& net, ProcessId pid, std::uint64_t system_seed);
 
   void set_deliver(DeliverFn fn) override { deliver_ = std::move(fn); }
   void broadcast(Round r, net::Payload payload) override;

@@ -40,11 +40,11 @@ struct DeliveryLog {
 class RbcHarness {
  public:
   RbcHarness(Committee committee, RbcKind kind, std::uint64_t seed,
-             sim::SimTime max_delay = 50, GossipParams gossip = {})
+             sim::SimTime max_delay = 50)
       : committee_(committee),
         sim_(seed),
         net_(sim_, committee, std::make_unique<sim::UniformDelay>(1, max_delay)) {
-    const RbcFactory factory = make_factory(kind, gossip);
+    const RbcFactory factory = make_factory(kind);
     logs_.resize(committee.n);
     for (ProcessId p = 0; p < committee.n; ++p) {
       instances_.push_back(factory(net_, p, seed));

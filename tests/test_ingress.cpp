@@ -1,9 +1,9 @@
 // Client ingress tier tests (DESIGN.md §13): tx digest identity, the wire
-// codec's defensive parsing, the sharded mempool's admission pipeline
-// (dedup, backpressure, commit window, origin re-homing), the TCP
-// server/client pair end to end, commit acks through a live cluster, the
-// kill-restart dedup contract after WAL recovery, the seeded ingress soak,
-// and a loadgen smoke with thousands of logical clients.
+// codec's defensive parsing, the mempool's admission pipeline (dedup,
+// backpressure, commit window, origin re-homing, oldest-first drain), the
+// TCP server/client pair end to end, commit acks through a live cluster,
+// the kill-restart dedup contract after WAL recovery, the seeded ingress
+// soak, and a loadgen smoke with thousands of logical clients.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -177,12 +177,10 @@ TEST(IngressWire, MessageRejectsMalformedInput) {
   EXPECT_FALSE(decode_ingress_message(BytesView(renc)).ok());
 }
 
-// --- sharded mempool admission pipeline ---
+// --- mempool admission pipeline ---
 
-TEST(ShardedMempool, DedupAcrossShardsAndLifecycle) {
-  ShardedMempool pool(MempoolOptions{.shards = 4});
-  // A spread of txs lands on every shard; resubmitting any of them dedups
-  // no matter which shard owns the digest.
+TEST(Mempool, DedupAcrossLifecycle) {
+  Mempool pool;
   for (std::uint64_t i = 0; i < 64; ++i) {
     EXPECT_EQ(pool.submit(make_tx(1, i), TxOrigin{}), SubmitStatus::kAccepted);
     EXPECT_EQ(pool.submit(make_tx(1, i), TxOrigin{}),
@@ -208,7 +206,7 @@ TEST(ShardedMempool, DedupAcrossShardsAndLifecycle) {
 
   // Recovery seeding: a restored block's txs re-enter as in-flight, except
   // the ones already committed; a non-tx block is a no-op.
-  ShardedMempool restored(MempoolOptions{.shards = 2});
+  Mempool restored;
   (void)restored.commit_block(txpool::encode_block({make_tx(4, 0)}));
   restored.restore_block(Bytes(64, 0xAB));
   restored.restore_block(txpool::encode_block({make_tx(4, 0), make_tx(4, 1)}));
@@ -218,8 +216,8 @@ TEST(ShardedMempool, DedupAcrossShardsAndLifecycle) {
             SubmitStatus::kDuplicatePending);
 }
 
-TEST(ShardedMempool, ReturnsOriginOnCommitAndRehomesOnResubmit) {
-  ShardedMempool pool(MempoolOptions{.shards = 2});
+TEST(Mempool, ReturnsOriginOnCommitAndRehomesOnResubmit) {
+  Mempool pool;
   TxOrigin origin{.session_id = 10, .client_id = 3, .tx_id = 9,
                   .submit_us = 100};
   ASSERT_EQ(pool.submit(make_tx(3, 9), origin), SubmitStatus::kAccepted);
@@ -260,12 +258,8 @@ TEST(ShardedMempool, ReturnsOriginOnCommitAndRehomesOnResubmit) {
   EXPECT_EQ(pool.in_flight(), 0u);
 }
 
-TEST(ShardedMempool, BusyWatermarkThenShardCapacity) {
-  MempoolOptions opts;
-  opts.shards = 2;
-  opts.shard_capacity = 64;
-  opts.busy_watermark = 0.5;  // busy at 64 pending
-  ShardedMempool pool(opts);
+TEST(Mempool, BusyWatermarkThenCapacity) {
+  Mempool pool(MempoolOptions{.capacity = 128, .busy_watermark = 0.5});
 
   std::uint64_t accepted = 0, id = 0;
   while (accepted < 64) {
@@ -277,13 +271,9 @@ TEST(ShardedMempool, BusyWatermarkThenShardCapacity) {
   EXPECT_TRUE(pool.busy());
   EXPECT_GE(pool.stats().rejected_busy, 1u);
 
-  // The hard per-shard bound is kShardFull, distinguishable from kBusy:
-  // reachable with a watermark above 1.0 (disabled) and a tiny shard.
-  MempoolOptions tiny;
-  tiny.shards = 1;
-  tiny.shard_capacity = 4;
-  tiny.busy_watermark = 10.0;
-  ShardedMempool small(tiny);
+  // The hard capacity bound is kShardFull, distinguishable from kBusy:
+  // reachable with a watermark above 1.0 (disabled) and a tiny pool.
+  Mempool small(MempoolOptions{.capacity = 4, .busy_watermark = 10.0});
   for (std::uint64_t i = 0; i < 4; ++i) {
     ASSERT_EQ(small.submit(make_tx(2, i), TxOrigin{}),
               SubmitStatus::kAccepted);
@@ -292,31 +282,27 @@ TEST(ShardedMempool, BusyWatermarkThenShardCapacity) {
             SubmitStatus::kShardFull);
 }
 
-TEST(ShardedMempool, RejectsOversizedAndBoundsCommittedWindow) {
-  MempoolOptions opts;
-  opts.shards = 1;
-  opts.max_tx_bytes = 32;
-  opts.committed_window = 8;
-  ShardedMempool pool(opts);
+TEST(Mempool, RejectsOversizedAndBoundsCommittedWindow) {
+  Mempool pool;
 
-  EXPECT_EQ(pool.submit(make_tx(1, 0, 0xab, 33), TxOrigin{}),
+  EXPECT_EQ(pool.submit(make_tx(1, 0, 0xab, kMaxTxBytes + 1), TxOrigin{}),
             SubmitStatus::kTooLarge);
+  EXPECT_EQ(pool.stats().rejected_too_large, 1u);
 
-  // Push far more commits through than the window holds: the oldest digests
+  // Push more commits through than the window holds: the oldest digests
   // are evicted and a very late replay is re-accepted (the documented bound).
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    ASSERT_EQ(pool.submit(make_tx(1, i), TxOrigin{}), SubmitStatus::kAccepted);
-    (void)pool.drain(1);
+  constexpr std::uint64_t kCommits = kCommittedWindow + 32;
+  for (std::uint64_t i = 0; i < kCommits; ++i) {
     (void)pool.mark_committed(tx_digest(make_tx(1, i)));
   }
-  EXPECT_GE(pool.stats().window_evictions, 24u);
+  EXPECT_EQ(pool.stats().window_evictions, 32u);
   EXPECT_FALSE(pool.recently_committed(tx_digest(make_tx(1, 0))));
-  EXPECT_TRUE(pool.recently_committed(tx_digest(make_tx(1, 31))));
+  EXPECT_TRUE(pool.recently_committed(tx_digest(make_tx(1, kCommits - 1))));
   EXPECT_EQ(pool.submit(make_tx(1, 0), TxOrigin{}), SubmitStatus::kAccepted);
 }
 
-TEST(ShardedMempool, DrainIsRoundRobinAndBounded) {
-  ShardedMempool pool(MempoolOptions{.shards = 4});
+TEST(Mempool, DrainIsBounded) {
+  Mempool pool;
   for (std::uint64_t i = 0; i < 100; ++i) {
     ASSERT_EQ(pool.submit(make_tx(1, i), TxOrigin{}), SubmitStatus::kAccepted);
   }
@@ -331,10 +317,36 @@ TEST(ShardedMempool, DrainIsRoundRobinAndBounded) {
   EXPECT_EQ(pool.in_flight(), 100u);
 }
 
+TEST(Mempool, DrainsOldestFirst) {
+  Mempool pool;
+  std::vector<std::uint64_t> submitted;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    ASSERT_EQ(pool.submit(make_tx(1, i), TxOrigin{}), SubmitStatus::kAccepted);
+    submitted.push_back(make_tx(1, i).id);
+  }
+  std::vector<std::uint64_t> drained;
+  for (const std::size_t batch : {7u, 64u, 1u, 100u, 256u}) {
+    for (const auto& tx : pool.drain(batch)) drained.push_back(tx.id);
+  }
+  EXPECT_EQ(drained, submitted);
+}
+
+TEST(Mempool, OwnSessionlessCommitIsNotForeign) {
+  Mempool pool;
+  ASSERT_EQ(pool.submit(make_tx(1, 0), TxOrigin{}), SubmitStatus::kAccepted);
+  const auto block = pool.drain_block(8);
+  ASSERT_TRUE(block.has_value());
+  const auto committed = pool.commit_block(*block);
+  ASSERT_EQ(committed.size(), 1u);
+  EXPECT_FALSE(committed[0].origin.has_value());
+  EXPECT_EQ(pool.stats().committed_foreign, 0u);
+  EXPECT_EQ(pool.in_flight(), 0u);
+}
+
 // --- server + client end to end (standalone, no consensus) ---
 
 TEST(IngressServer, SubmitReplyAndCommitAckRoundTrip) {
-  ShardedMempool pool;
+  Mempool pool;
   IngressServer server(pool, ServerOptions{});
   ASSERT_TRUE(server.start());
   ASSERT_NE(server.port(), 0);
@@ -383,7 +395,7 @@ TEST(IngressServer, SubmitReplyAndCommitAckRoundTrip) {
 }
 
 TEST(IngressServer, RejectsOverCapacitySessionsWithFullHello) {
-  ShardedMempool pool;
+  Mempool pool;
   ServerOptions opts;
   opts.max_sessions = 1;
   IngressServer server(pool, opts);
@@ -714,36 +726,43 @@ TEST(IngressSoak, SeededChaosSweepWithClientChurnStaysClean) {
 }
 
 TEST(IngressLoadGen, ThousandsOfClientsOverFewConnections) {
-  node::NodeOptions opts;
-  opts.seed = 5;
-  opts.ingress_enable = true;
-  node::Cluster cluster(Committee::for_n(4), opts);
-  cluster.start();
+  // Node-to-node links in process, then over loopback TCP: the second run
+  // puts client and protocol traffic on one real network stack.
+  for (const bool tcp : {false, true}) {
+    SCOPED_TRACE(tcp ? "tcp links" : "in-process links");
+    node::NodeOptions opts;
+    opts.seed = 5;
+    opts.ingress_enable = true;
+    node::ClusterTweaks tweaks;
+    tweaks.tcp_transport = tcp;
+    node::Cluster cluster(Committee::for_n(4), opts, std::move(tweaks));
+    cluster.start();
 
-  LoadGenOptions gen_opts;
-  gen_opts.clients = 2'000;
-  gen_opts.connections = 16;
-  for (ProcessId pid = 0; pid < 4; ++pid) {
-    gen_opts.targets.push_back(
-        LoadGenTarget{"127.0.0.1", cluster.ingress_port(pid)});
+    LoadGenOptions gen_opts;
+    gen_opts.clients = 2'000;
+    gen_opts.connections = 16;
+    for (ProcessId pid = 0; pid < 4; ++pid) {
+      gen_opts.targets.push_back(
+          LoadGenTarget{"127.0.0.1", cluster.ingress_port(pid)});
+    }
+    gen_opts.rate_tps = 2'000.0;
+    gen_opts.churn_period_ms = 300;
+    gen_opts.seed = 11;
+    LoadGen gen(gen_opts);
+    ASSERT_TRUE(gen.start());
+    std::this_thread::sleep_for(std::chrono::seconds(2));
+    const LoadGenReport report = gen.stop_and_report();
+    cluster.stop();
+
+    EXPECT_TRUE(report.ok) << report.error;
+    EXPECT_GT(report.submitted, 1'000u);
+    EXPECT_GT(report.acked, report.submitted / 2);
+    EXPECT_GT(report.churn_events, 0u);
+    EXPECT_GT(report.ack_latency_ms.count(), 0u);
+    EXPECT_FALSE(core::audit_logs(cluster.delivered_logs(),
+                                  cluster.commit_logs())
+                     .has_value());
   }
-  gen_opts.duration_ms = 2'000;
-  gen_opts.rate_tps = 2'000.0;
-  gen_opts.churn_period_ms = 300;
-  gen_opts.seed = 11;
-  LoadGen gen(gen_opts);
-  ASSERT_TRUE(gen.start());
-  const LoadGenReport report = gen.wait_and_report();
-  cluster.stop();
-
-  EXPECT_TRUE(report.ok) << report.error;
-  EXPECT_GT(report.submitted, 1'000u);
-  EXPECT_GT(report.acked, report.submitted / 2);
-  EXPECT_GT(report.churn_events, 0u);
-  EXPECT_GT(report.ack_latency_ms.count(), 0u);
-  EXPECT_FALSE(core::audit_logs(cluster.delivered_logs(),
-                                cluster.commit_logs())
-                   .has_value());
 }
 
 }  // namespace

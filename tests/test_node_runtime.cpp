@@ -12,7 +12,6 @@
 #include <chrono>
 
 #include "core/audit.hpp"
-#include "net/tcp.hpp"
 #include "node/cluster.hpp"
 #include "node/node.hpp"
 #include "txpool/transaction.hpp"
@@ -109,48 +108,20 @@ TEST(NodeRuntime, ThresholdCoinOnWireAlsoAgrees) {
 
 TEST(NodeRuntime, TcpClusterReachesAgreement) {
   const Committee committee = Committee::for_f(1);
-  const auto ports = net::pick_free_ports(committee.n);
-  std::vector<net::TcpPeer> peers;
-  for (auto p : ports) peers.push_back(net::TcpPeer{"127.0.0.1", p});
-
   NodeOptions opts;
   opts.seed = 21;
-  const coin::CoinDealer dealer(opts.seed ^ coin::kDealerSeedTweak, committee);
+  ClusterTweaks tweaks;
+  tweaks.tcp_transport = true;
+  Cluster cluster(committee, opts, std::move(tweaks));
+  cluster.start();
 
-  std::vector<std::unique_ptr<Node>> nodes;
-  for (ProcessId pid = 0; pid < committee.n; ++pid) {
-    nodes.push_back(std::make_unique<Node>(
-        std::make_unique<net::TcpTransport>(committee, pid, peers), &dealer,
-        opts));
-  }
-  for (auto& n : nodes) n->start();
+  ASSERT_TRUE(cluster.wait_all_delivered(committee.n * 8ull,
+                                         std::chrono::minutes(3)))
+      << "tcp cluster stalled";
+  cluster.stop();
 
-  const std::uint64_t target = committee.n * 8ull;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::minutes(3);
-  for (;;) {
-    bool all = true;
-    for (auto& n : nodes) {
-      if (n->delivered_count() < target) {
-        all = false;
-        break;
-      }
-    }
-    if (all) break;
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "tcp cluster stalled";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  for (auto& n : nodes) n->stop_loop();
-  for (auto& n : nodes) n->stop_transport();
-
-  std::vector<std::vector<core::DeliveredRecord>> delivered;
-  std::vector<std::vector<core::CommitRecord>> commits;
-  for (auto& n : nodes) {
-    delivered.push_back(n->delivered_snapshot());
-    commits.push_back(n->commits_snapshot());
-  }
-  const auto violation = core::audit_logs(delivered, commits);
+  const auto violation =
+      core::audit_logs(cluster.delivered_logs(), cluster.commit_logs());
   ASSERT_FALSE(violation.has_value()) << *violation;
 }
 

@@ -1,7 +1,6 @@
-// Tests: transaction blocks, mempool semantics in the simulator's
-// configuration (one shard, so plain FIFO), and the end-to-end client
-// workload (submit -> batch -> BAB -> latency accounting). The sharded
-// admission pipeline is covered by the ShardedMempool tests in
+// Tests: transaction blocks, the mempool's block-level FIFO semantics, and
+// the end-to-end client workload (submit -> batch -> BAB -> latency
+// accounting). The admission pipeline is covered by the Mempool tests in
 // test_ingress.cpp.
 #include <gtest/gtest.h>
 
@@ -52,7 +51,6 @@ TEST(TxBlock, RejectsForeignBytes) {
 }
 
 using ingress::MempoolOptions;
-using ingress::ShardedMempool;
 using ingress::SubmitStatus;
 using ingress::TxOrigin;
 
@@ -67,7 +65,7 @@ std::vector<std::uint64_t> ids_of(const std::optional<Bytes>& block) {
 }
 
 TEST(Mempool, FifoBatchingAndDedup) {
-  ShardedMempool pool(MempoolOptions{.shards = 1});
+  ingress::Mempool pool;
   for (std::uint64_t i = 1; i <= 10; ++i) {
     EXPECT_EQ(pool.submit(make_tx(i), TxOrigin{}), SubmitStatus::kAccepted);
   }
@@ -82,8 +80,7 @@ TEST(Mempool, FifoBatchingAndDedup) {
 }
 
 TEST(Mempool, OverflowBackpressure) {
-  ShardedMempool pool(MempoolOptions{
-      .shards = 1, .shard_capacity = 3, .busy_watermark = 10.0});
+  ingress::Mempool pool(MempoolOptions{.capacity = 3, .busy_watermark = 10.0});
   for (std::uint64_t i = 1; i <= 3; ++i) {
     EXPECT_EQ(pool.submit(make_tx(i), TxOrigin{}), SubmitStatus::kAccepted);
   }
@@ -92,7 +89,7 @@ TEST(Mempool, OverflowBackpressure) {
 }
 
 TEST(Mempool, DeliveredTransactionsAreNotReproposed) {
-  ShardedMempool pool(MempoolOptions{.shards = 1});
+  ingress::Mempool pool;
   for (std::uint64_t i = 1; i <= 6; ++i) {
     ASSERT_EQ(pool.submit(make_tx(i), TxOrigin{}), SubmitStatus::kAccepted);
   }
@@ -107,7 +104,7 @@ TEST(Mempool, DeliveredTransactionsAreNotReproposed) {
 }
 
 TEST(Mempool, EmptyPoolYieldsEmptyBlock) {
-  ShardedMempool pool(MempoolOptions{.shards = 1});
+  ingress::Mempool pool;
   EXPECT_FALSE(pool.drain_block(5).has_value());
   ASSERT_EQ(pool.submit(make_tx(1), TxOrigin{}), SubmitStatus::kAccepted);
   (void)pool.commit_block(encode_block({make_tx(1)}));
