@@ -99,11 +99,7 @@ bool run_one(const Args& args, std::uint64_t seed, std::uint32_t n) {
   // A Byzantine node and churn at once would leave only f honest-and-up
   // nodes short of quorum windows; keep the two flavours separate.
   if (opts.with_churn) opts.byzantine = dr::core::ByzantineProfile::kHonest;
-  if (args.ingress) {
-    opts.with_ingress = true;
-    opts.ingress_clients = args.smoke ? 500 : 2'000;
-    opts.ingress_rate_tps = args.smoke ? 500.0 : 2'000.0;
-  }
+  opts.with_ingress = args.ingress;
 
   const dr::node::SoakResult r = dr::node::run_chaos_soak(opts);
   if (r.ok) {
@@ -125,10 +121,13 @@ bool run_one(const Args& args, std::uint64_t seed, std::uint32_t n) {
     return true;
   }
   std::fprintf(stderr, "FAIL %s\n", r.describe().c_str());
+  const char* why = !r.progressed           ? "no progress (stall)"
+                    : !r.violation.empty()   ? "invariant violation"
+                                             : "harness check failed";
   std::fprintf(stderr,
-               "     %s — replay with: chaos_soak --seed %llu --n %u%s\n",
-               r.progressed ? "invariant violation" : "no progress (stall)",
-               static_cast<unsigned long long>(seed), n,
+               "     %s — replay with: chaos_soak --seed %llu --n %u%s%s\n",
+               why, static_cast<unsigned long long>(seed), n,
+               args.ingress ? " --ingress" : "",
                args.wal_dir.empty() ? "" : " --wal <dir>");
   return false;
 }

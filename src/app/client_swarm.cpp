@@ -26,19 +26,17 @@ void ClientSwarm::schedule_submit() {
   const auto gap = static_cast<sim::SimTime>(
       std::max(1.0, -std::log(u) / cfg_.tx_per_tick));
   sys_.simulator().schedule(gap, [this] {
-    if (submitting_) {
-      const std::uint64_t id = next_tx_id_++;
-      const Bytes payload(cfg_.tx_payload, static_cast<std::uint8_t>(id));
-      // Submit to `submit_copies` distinct correct processes (clients retry
-      // elsewhere when a process looks dead; we model the redundant form).
-      const std::size_t start = rng_.below(correct_.size());
-      for (std::uint32_t c = 0; c < cfg_.submit_copies; ++c) {
-        const ProcessId p = correct_[(start + c) % correct_.size()];
-        service_.submit(p, id, payload);
-      }
-      ++submitted_;
-      schedule_submit();
+    const std::uint64_t id = next_tx_id_++;
+    const Bytes payload(cfg_.tx_payload, static_cast<std::uint8_t>(id));
+    // Submit to `submit_copies` distinct correct processes (clients retry
+    // elsewhere when a process looks dead; we model the redundant form).
+    const std::size_t start = rng_.below(correct_.size());
+    for (std::uint32_t c = 0; c < cfg_.submit_copies; ++c) {
+      const ProcessId p = correct_[(start + c) % correct_.size()];
+      service_.submit(p, id, payload);
     }
+    ++submitted_;
+    schedule_submit();
   });
 }
 

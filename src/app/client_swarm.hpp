@@ -32,8 +32,6 @@ class ClientSwarm {
 
   /// Starts submission + pacing events; call once after System::start().
   void start();
-  /// Stops injecting new transactions (in-flight ones keep completing).
-  void stop_submitting() { submitting_ = false; }
 
   std::uint64_t submitted() const { return submitted_; }
   std::uint64_t committed() const { return service_.committed_at_probe(); }
@@ -53,7 +51,6 @@ class ClientSwarm {
   std::vector<ProcessId> correct_;
   std::uint64_t next_tx_id_ = 1;
   std::uint64_t submitted_ = 0;
-  bool submitting_ = true;
 };
 
 }  // namespace dr::app

@@ -79,8 +79,4 @@ bool ReplicatedService::replicas_consistent() const {
   return true;
 }
 
-std::uint64_t ReplicatedService::applied_at_probe() const {
-  return machines_[correct_.front()]->applied_count();
-}
-
 }  // namespace dr::app

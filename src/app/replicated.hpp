@@ -42,8 +42,6 @@ class ReplicatedService {
   /// compared on count only (prefix property handles the rest).
   bool replicas_consistent() const;
 
-  /// Commands applied at the first correct replica.
-  std::uint64_t applied_at_probe() const;
   /// Distinct command ids delivered at the first correct replica (a command
   /// proposed by two replicas is delivered, and applied, twice).
   std::uint64_t committed_at_probe() const { return committed_ids_.size(); }

@@ -69,10 +69,4 @@ bool ThresholdCoin::has_value(Wave w) const {
   return it != instances_.end() && it->second.leader.has_value();
 }
 
-std::optional<ProcessId> ThresholdCoin::peek(Wave w) const {
-  auto it = instances_.find(w);
-  if (it == instances_.end()) return std::nullopt;
-  return it->second.leader;
-}
-
 }  // namespace dr::coin

@@ -36,7 +36,6 @@ class ThresholdCoin final : public Coin {
 
   /// True once this process has reconstructed instance w.
   bool has_value(Wave w) const;
-  std::optional<ProcessId> peek(Wave w) const;
 
   /// Feeds a share that arrived out-of-band (e.g. piggybacked on a DAG
   /// vertex instead of the coin channel). Same validation path.

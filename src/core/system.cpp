@@ -100,17 +100,6 @@ bool System::run_until_delivered(std::uint64_t count, std::uint64_t max_events) 
       max_events);
 }
 
-bool System::run_until_wave_decided(Wave w, std::uint64_t max_events) {
-  return sim_.run_until(
-      [this, w] {
-        for (ProcessId pid : correct_ids()) {
-          if (nodes_[pid]->rider().decided_wave() < w) return false;
-        }
-        return true;
-      },
-      max_events);
-}
-
 bool prefix_consistent(const System& sys) {
   std::vector<std::vector<DeliveredRecord>> logs;
   for (ProcessId pid : sys.correct_ids()) {

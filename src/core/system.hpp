@@ -105,8 +105,6 @@ class System {
   /// Runs until every correct process has a_delivered >= count blocks.
   /// Returns false if the simulation stalled or max_events elapsed first.
   bool run_until_delivered(std::uint64_t count, std::uint64_t max_events = 50'000'000);
-  /// Runs until every correct process decided wave >= w.
-  bool run_until_wave_decided(Wave w, std::uint64_t max_events = 50'000'000);
 
  private:
   SystemConfig cfg_;

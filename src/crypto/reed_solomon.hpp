@@ -19,8 +19,6 @@ class ReedSolomon {
   ReedSolomon(std::uint32_t k, std::uint32_t m);
 
   std::uint32_t data_shards() const { return k_; }
-  std::uint32_t parity_shards() const { return m_; }
-  std::uint32_t total_shards() const { return k_ + m_; }
 
   /// Splits `data` into k equal shards (zero-padded) and appends m parity
   /// shards. Shard size = ceil((|data|+8) / k); an 8-byte length header is

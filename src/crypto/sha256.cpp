@@ -178,6 +178,4 @@ std::uint64_t digest_prefix_u64(const Digest& d) {
   return v;
 }
 
-Bytes digest_bytes(const Digest& d) { return Bytes(d.begin(), d.end()); }
-
 }  // namespace dr::crypto

@@ -81,6 +81,4 @@ Digest sha256_tagged(std::string_view tag, std::initializer_list<BytesView> part
 /// First 8 bytes of a digest as a little-endian u64 (leader election, PRF).
 std::uint64_t digest_prefix_u64(const Digest& d);
 
-Bytes digest_bytes(const Digest& d);
-
 }  // namespace dr::crypto

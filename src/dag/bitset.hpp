@@ -68,7 +68,6 @@ class Bitset {
     return c;
   }
 
-  std::size_t capacity_bits() const { return (offset_ + words_.size()) * 64; }
   std::size_t allocated_words() const { return words_.size(); }
 
  private:

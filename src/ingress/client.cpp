@@ -8,8 +8,7 @@ namespace dr::ingress {
 namespace {
 
 /// Local bound on queued outbound frames; submit() refuses beyond it
-/// (client-side backpressure, surfaced by the loadgen as
-/// local_backpressure).
+/// (client-side backpressure: the caller retries later or sheds the tx).
 constexpr std::size_t kMaxOutFrames = 256;
 
 std::uint64_t mono_ms() {

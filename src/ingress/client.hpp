@@ -1,8 +1,9 @@
 // Client side of the ingress wire protocol (DESIGN.md §13): one TCP
 // connection = one session. Single-threaded by design — the owner calls
 // process() to pump I/O and receives SubmitReply / CommitAcks through
-// callbacks; the loadgen multiplexes thousands of logical clients over a
-// handful of these connections, polling their fds itself.
+// callbacks; the chaos soak's client driver (src/node/soak.cpp) multiplexes
+// hundreds of logical clients over a handful of these connections, polling
+// their fds itself.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,8 @@
 #include <deque>
 #include <utility>
 
+#include "common/rng.hpp"
+
 namespace dr::ingress {
 
 namespace {
@@ -32,6 +34,27 @@ std::uint64_t compose_tx_id(std::uint64_t client_id, std::uint64_t tx_id) {
   x *= 0x94D049BB133111EBull;
   x ^= x >> 31;
   return x;
+}
+
+Bytes client_payload(std::uint64_t client_id, std::uint64_t tx_id,
+                     std::size_t bytes) {
+  const std::size_t size = std::max<std::size_t>(16, bytes);
+  ByteWriter w(size);
+  w.u64(client_id);
+  w.u64(tx_id);
+  SplitMix64 fill(client_id ^ (tx_id * 0x9e3779b97f4a7c15ULL));
+  std::size_t remaining = size - 16;
+  while (remaining >= 8) {
+    w.u64(fill.next());
+    remaining -= 8;
+  }
+  std::uint64_t last = fill.next();
+  while (remaining > 0) {
+    w.u8(static_cast<std::uint8_t>(last & 0xff));
+    last >>= 8;
+    --remaining;
+  }
+  return std::move(w).take();
 }
 
 void LatencyHistogram::record(std::uint64_t us) {

@@ -34,10 +34,16 @@ namespace dr::ingress {
 /// digest — on every node.
 std::uint64_t compose_tx_id(std::uint64_t client_id, std::uint64_t tx_id);
 
+/// Deterministic payload for (client_id, tx_id): 16 bytes of ids followed by
+/// SplitMix64 filler. Regenerable, so a reconnecting client resubmits
+/// exactly the bytes it first sent. Always at least 16 bytes.
+Bytes client_payload(std::uint64_t client_id, std::uint64_t tx_id,
+                     std::size_t bytes);
+
 /// Fixed log2-microsecond latency histogram: lock-free record() from any
 /// thread, approximate percentiles good to a factor of two — enough for the
-/// server-side ack-latency counters (the loadgen computes exact client-side
-/// percentiles separately).
+/// server-side ack-latency counters (the chaos soak's client driver computes
+/// exact client-side percentiles separately).
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 40;

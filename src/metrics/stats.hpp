@@ -2,7 +2,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -18,14 +17,6 @@ class Summary {
     double s = 0.0;
     for (double v : values_) s += v;
     return s / static_cast<double>(values_.size());
-  }
-
-  double stddev() const {
-    if (values_.size() < 2) return 0.0;
-    const double m = mean();
-    double s = 0.0;
-    for (double v : values_) s += (v - m) * (v - m);
-    return std::sqrt(s / static_cast<double>(values_.size() - 1));
   }
 
   double min() const {

@@ -77,11 +77,6 @@ ChaosPlan::Decision ChaosPlan::decide(ProcessId from, ProcessId to,
   return d;
 }
 
-bool ChaosPlan::partitioned(ProcessId from, ProcessId to,
-                            std::uint64_t elapsed_us) const {
-  return partition_heal_us(from, to, elapsed_us) != 0;
-}
-
 std::uint64_t ChaosPlan::partition_heal_us(ProcessId from, ProcessId to,
                                            std::uint64_t elapsed_us) const {
   std::uint64_t heal = 0;

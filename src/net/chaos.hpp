@@ -127,9 +127,6 @@ struct ChaosPlan {
 
   const LinkFaults& faults_for(Channel channel) const;
 
-  /// True iff a scripted partition currently severs from -> to.
-  bool partitioned(ProcessId from, ProcessId to, std::uint64_t elapsed_us) const;
-
   /// Latest heal point among the partitions currently severing from -> to,
   /// or 0 when the pair is connected — the earliest time a frame sent now
   /// can come out of the outage.

@@ -44,18 +44,20 @@ struct SoakOptions {
   /// Drive client traffic through every node's TCP ingress tier for the
   /// whole run, with seeded client connect/disconnect churn — the
   /// reconnect-resubmit path exercised under the same fault schedule as the
-  /// protocol (DESIGN.md §13).
+  /// protocol (DESIGN.md §13). The traffic's shape is fixed (soak.cpp).
   bool with_ingress = false;
-  std::uint64_t ingress_clients = 2'000;
-  double ingress_rate_tps = 2'000.0;
-  /// Loadgen-side connection churn period (0 = no client churn).
-  std::uint64_t ingress_churn_period_ms = 150;
 };
 
 struct SoakResult {
-  bool ok = false;          ///< progressed && no auditor violation
+  /// progressed && no auditor violation && no failed_check
+  bool ok = false;
   bool progressed = false;  ///< every audited node hit target_delivered
   std::string violation;    ///< first auditor violation ("" when clean)
+  /// First harness check that failed ("" when all held): with ingress, the
+  /// clients connected and saw at least one ack; with a seated adversary,
+  /// it attacked. A soak whose clients or adversary never ran proves
+  /// nothing about them.
+  std::string failed_check;
   std::uint64_t seed = 0;
   core::OrderingKind ordering = core::OrderingKind::kDagRider;
   std::string plan;  ///< ChaosPlan::describe() of the schedule that ran
@@ -68,7 +70,7 @@ struct SoakResult {
   /// counts, transport.backpressure_overflows, and — with ingress on —
   /// the mempool.* / ingress.* families).
   metrics::Counters counters;
-  /// Ingress loadgen outcome (all zero when with_ingress was off).
+  /// Client driver outcome (all zero when with_ingress was off).
   std::uint64_t ingress_submitted = 0;
   std::uint64_t ingress_acked = 0;
   std::uint64_t ingress_resubmitted = 0;

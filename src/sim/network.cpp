@@ -94,12 +94,6 @@ std::uint64_t Network::total_bytes_sent() const {
   return sum;
 }
 
-std::uint64_t Network::total_messages_sent() const {
-  std::uint64_t sum = 0;
-  for (const TrafficCounter& t : traffic_) sum += t.messages_sent;
-  return sum;
-}
-
 void Network::reset_traffic() {
   for (TrafficCounter& t : traffic_) t = TrafficCounter{};
   for (std::uint64_t& b : channel_bytes_) b = 0;

@@ -109,7 +109,6 @@ class Network final : public net::Bus {
   /// counts only honest senders' bits).
   std::uint64_t total_honest_bytes_sent() const;
   std::uint64_t total_bytes_sent() const;
-  std::uint64_t total_messages_sent() const;
   SimTime max_delay() const { return delays_->max_delay(); }
 
   /// Resets traffic counters (e.g., after warmup rounds).

@@ -2,8 +2,8 @@
 // codec's defensive parsing, the mempool's admission pipeline (dedup,
 // backpressure, commit window, origin re-homing, oldest-first drain), the
 // TCP server/client pair end to end, commit acks through a live cluster,
-// the kill-restart dedup contract after WAL recovery, the seeded ingress
-// soak, and a loadgen smoke with thousands of logical clients.
+// the kill-restart dedup contract after WAL recovery, and the seeded
+// ingress soak with client churn.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,7 +14,6 @@
 
 #include "core/audit.hpp"
 #include "ingress/client.hpp"
-#include "ingress/loadgen.hpp"
 #include "ingress/mempool.hpp"
 #include "ingress/server.hpp"
 #include "ingress/wire.hpp"
@@ -77,14 +76,14 @@ TEST(TxDigest, ComposeTxIdIsDeterministicAndSpreads) {
   EXPECT_NE(compose_tx_id(0, 0), compose_tx_id(0, 1));
 }
 
-TEST(TxDigest, LoadgenPayloadRegeneratesByteIdentically) {
-  const Bytes a = loadgen_payload(42, 17, 64);
-  const Bytes b = loadgen_payload(42, 17, 64);
+TEST(TxDigest, ClientPayloadRegeneratesByteIdentically) {
+  const Bytes a = client_payload(42, 17, 64);
+  const Bytes b = client_payload(42, 17, 64);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.size(), 64u);
-  EXPECT_NE(a, loadgen_payload(42, 18, 64));
+  EXPECT_NE(a, client_payload(42, 18, 64));
   // Minimum size carries the two ids.
-  EXPECT_EQ(loadgen_payload(1, 2, 0).size(), 16u);
+  EXPECT_EQ(client_payload(1, 2, 0).size(), 16u);
 }
 
 // --- wire codec ---
@@ -367,9 +366,9 @@ TEST(IngressServer, SubmitReplyAndCommitAckRoundTrip) {
   };
 
   for (std::uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(client.submit(4, i, BytesView(loadgen_payload(4, i, 32))));
+    ASSERT_TRUE(client.submit(4, i, BytesView(client_payload(4, i, 32))));
   }
-  ASSERT_TRUE(client.submit(4, 0, BytesView(loadgen_payload(4, 0, 32))));
+  ASSERT_TRUE(client.submit(4, 0, BytesView(client_payload(4, 0, 32))));
 
   pump_until(client, [&] { return reply_count == 9; },
              std::chrono::seconds(5));
@@ -413,31 +412,39 @@ TEST(IngressServer, RejectsOverCapacitySessionsWithFullHello) {
 // --- commit acks through a live cluster ---
 
 TEST(IngressCluster, ClientTxsCommitAndAckThroughNode) {
-  node::NodeOptions opts;
-  opts.seed = 99;
-  opts.ingress_enable = true;
-  node::Cluster cluster(Committee::for_n(4), opts);
-  cluster.start();
-  ASSERT_NE(cluster.ingress_port(0), 0);
+  // Node-to-node links in process, then over loopback TCP: the second run
+  // puts client and protocol traffic on one real network stack.
+  for (const bool tcp : {false, true}) {
+    SCOPED_TRACE(tcp ? "tcp links" : "in-process links");
+    node::NodeOptions opts;
+    opts.seed = 99;
+    opts.ingress_enable = true;
+    node::ClusterTweaks tweaks;
+    tweaks.tcp_transport = tcp;
+    node::Cluster cluster(Committee::for_n(4), opts, std::move(tweaks));
+    cluster.start();
+    ASSERT_NE(cluster.ingress_port(0), 0);
 
-  Client client(Client::Options{"127.0.0.1", cluster.ingress_port(0)});
-  ASSERT_TRUE(client.connect(2'000));
+    Client client(Client::Options{"127.0.0.1", cluster.ingress_port(0)});
+    ASSERT_TRUE(client.connect(2'000));
 
-  constexpr std::uint64_t kTxs = 200;
-  std::uint64_t acked = 0;
-  client.on_ack = [&](std::uint64_t, std::uint64_t, std::uint64_t) {
-    ++acked;
-  };
-  for (std::uint64_t i = 0; i < kTxs; ++i) {
-    ASSERT_TRUE(client.submit(6, i, BytesView(loadgen_payload(6, i, 32))));
+    constexpr std::uint64_t kTxs = 200;
+    std::uint64_t acked = 0;
+    client.on_ack = [&](std::uint64_t, std::uint64_t, std::uint64_t) {
+      ++acked;
+    };
+    for (std::uint64_t i = 0; i < kTxs; ++i) {
+      ASSERT_TRUE(client.submit(6, i, BytesView(client_payload(6, i, 32))));
+    }
+    pump_until(client, [&] { return acked == kTxs; },
+               std::chrono::minutes(1));
+    client.close();
+    cluster.stop();
+
+    EXPECT_FALSE(core::audit_logs(cluster.delivered_logs(),
+                                  cluster.commit_logs())
+                     .has_value());
   }
-  pump_until(client, [&] { return acked == kTxs; }, std::chrono::minutes(1));
-  client.close();
-  cluster.stop();
-
-  EXPECT_FALSE(core::audit_logs(cluster.delivered_logs(),
-                                cluster.commit_logs())
-                   .has_value());
 }
 
 // --- kill-restart: the WAL-recovery dedup contract ---
@@ -476,7 +483,7 @@ TEST(IngressCluster, RestartedNodeDedupsCommittedAndServesFreshTxs) {
       ++acked;
     };
     for (std::uint64_t i = 0; i < kBatchA; ++i) {
-      ASSERT_TRUE(client.submit(8, i, BytesView(loadgen_payload(8, i, 32))));
+      ASSERT_TRUE(client.submit(8, i, BytesView(client_payload(8, i, 32))));
     }
     pump_until(client, [&] { return acked == kBatchA; },
                std::chrono::minutes(1));
@@ -511,14 +518,14 @@ TEST(IngressCluster, RestartedNodeDedupsCommittedAndServesFreshTxs) {
       ++acked;
     };
     for (std::uint64_t i = 0; i < kBatchA; ++i) {
-      ASSERT_TRUE(client.submit(8, i, BytesView(loadgen_payload(8, i, 32))));
+      ASSERT_TRUE(client.submit(8, i, BytesView(client_payload(8, i, 32))));
     }
     // Every resubmit must bounce off the recovered committed window.
     pump_until(client, [&] { return dup_committed == kBatchA; },
                std::chrono::minutes(1));
 
     for (std::uint64_t i = 0; i < kBatchB; ++i) {
-      ASSERT_TRUE(client.submit(9, i, BytesView(loadgen_payload(9, i, 32))));
+      ASSERT_TRUE(client.submit(9, i, BytesView(client_payload(9, i, 32))));
     }
     pump_until(client, [&] { return acked == kBatchB; },
                std::chrono::minutes(1));
@@ -599,13 +606,13 @@ TEST(IngressCluster, ResubmitAfterRestartOfMuteProposerDeliversExactlyOnce) {
       if (status == SubmitStatus::kAccepted) ++accepted;
     };
     for (std::uint64_t i = 0; i < kProbe; ++i) {
-      ASSERT_TRUE(client.submit(21, i, BytesView(loadgen_payload(21, i, 32))));
+      ASSERT_TRUE(client.submit(21, i, BytesView(client_payload(21, i, 32))));
     }
     pump_until(client, [&] { return accepted == kProbe; },
                std::chrono::minutes(1));
     // Drained (in-flight), then proposed (persist-before-send ran): the
     // race precondition — on disk, in no one's DAG. The drained block sits
-    // at most max_blocks_pending (2) deep in the proposal queue, so two
+    // at most kMaxBlocksPending (2) deep in the proposal queue, so two
     // more logged proposals guarantee it reached the WAL.
     pump_until(client,
                [&] { return cluster.node(1).mempool().in_flight() >= kProbe; },
@@ -659,7 +666,7 @@ TEST(IngressCluster, ResubmitAfterRestartOfMuteProposerDeliversExactlyOnce) {
       ++acked;
     };
     for (std::uint64_t i = 0; i < kProbe; ++i) {
-      ASSERT_TRUE(client.submit(21, i, BytesView(loadgen_payload(21, i, 32))));
+      ASSERT_TRUE(client.submit(21, i, BytesView(client_payload(21, i, 32))));
     }
     pump_until(client, [&] { return replies == kProbe; },
                std::chrono::minutes(1));
@@ -687,7 +694,7 @@ TEST(IngressCluster, ResubmitAfterRestartOfMuteProposerDeliversExactlyOnce) {
 
     // Fresh traffic through the recovered node stays live end to end.
     for (std::uint64_t i = 0; i < kProbe; ++i) {
-      ASSERT_TRUE(client.submit(22, i, BytesView(loadgen_payload(22, i, 32))));
+      ASSERT_TRUE(client.submit(22, i, BytesView(client_payload(22, i, 32))));
     }
     pump_until(client, [&] { return acked >= kProbe; },
                std::chrono::minutes(1));
@@ -706,9 +713,10 @@ TEST(IngressCluster, ResubmitAfterRestartOfMuteProposerDeliversExactlyOnce) {
   std::filesystem::remove_all(wal);
 }
 
-// --- seeded soak + loadgen smoke ---
+// --- seeded soak with client churn ---
 
 TEST(IngressSoak, SeededChaosSweepWithClientChurnStaysClean) {
+  std::uint64_t resubmitted = 0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     node::SoakOptions opts;
     opts.seed = seed;
@@ -716,53 +724,15 @@ TEST(IngressSoak, SeededChaosSweepWithClientChurnStaysClean) {
     opts.target_delivered = 12;
     opts.timeout = std::chrono::minutes(2);
     opts.with_ingress = true;
-    opts.ingress_clients = 500;
-    opts.ingress_rate_tps = 800.0;
-    opts.ingress_churn_period_ms = 100;
     const node::SoakResult r = node::run_chaos_soak(opts);
     EXPECT_TRUE(r.ok) << r.describe();
     EXPECT_GT(r.ingress_acked, 0u) << "seed " << seed;
+    // Every run closes and redials at least one client connection.
+    EXPECT_GT(r.ingress_churn_events, 0u) << "seed " << seed;
+    resubmitted += r.ingress_resubmitted;
   }
-}
-
-TEST(IngressLoadGen, ThousandsOfClientsOverFewConnections) {
-  // Node-to-node links in process, then over loopback TCP: the second run
-  // puts client and protocol traffic on one real network stack.
-  for (const bool tcp : {false, true}) {
-    SCOPED_TRACE(tcp ? "tcp links" : "in-process links");
-    node::NodeOptions opts;
-    opts.seed = 5;
-    opts.ingress_enable = true;
-    node::ClusterTweaks tweaks;
-    tweaks.tcp_transport = tcp;
-    node::Cluster cluster(Committee::for_n(4), opts, std::move(tweaks));
-    cluster.start();
-
-    LoadGenOptions gen_opts;
-    gen_opts.clients = 2'000;
-    gen_opts.connections = 16;
-    for (ProcessId pid = 0; pid < 4; ++pid) {
-      gen_opts.targets.push_back(
-          LoadGenTarget{"127.0.0.1", cluster.ingress_port(pid)});
-    }
-    gen_opts.rate_tps = 2'000.0;
-    gen_opts.churn_period_ms = 300;
-    gen_opts.seed = 11;
-    LoadGen gen(gen_opts);
-    ASSERT_TRUE(gen.start());
-    std::this_thread::sleep_for(std::chrono::seconds(2));
-    const LoadGenReport report = gen.stop_and_report();
-    cluster.stop();
-
-    EXPECT_TRUE(report.ok) << report.error;
-    EXPECT_GT(report.submitted, 1'000u);
-    EXPECT_GT(report.acked, report.submitted / 2);
-    EXPECT_GT(report.churn_events, 0u);
-    EXPECT_GT(report.ack_latency_ms.count(), 0u);
-    EXPECT_FALSE(core::audit_logs(cluster.delivered_logs(),
-                                  cluster.commit_logs())
-                     .has_value());
-  }
+  // ...and some redial found un-acked txs to replay.
+  EXPECT_GT(resubmitted, 0u);
 }
 
 }  // namespace

@@ -274,7 +274,7 @@ class IngressBlocking(unittest.TestCase):
 
     def test_cv_wait_in_ingress_flagged(self):
         findings = lint_snippet(
-            "src/ingress/loadgen.cpp",
+            "src/ingress/mempool.cpp",
             "cv.wait(lk, [] { return done; });\n")
         self.assertIn("ingress-blocking", rules_of(findings))
 
