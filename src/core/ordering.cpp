@@ -41,7 +41,10 @@ void OrderingRule::restore(Wave decided_wave, std::uint64_t delivered_count,
              "snapshot restore on a non-fresh ordering layer");
   decided_wave_ = decided_wave;
   next_wave_to_process_ = decided_wave + 1;
-  delivered_vertices_.insert(delivered_ids.begin(), delivered_ids.end());
+  floor_ = floor_of(decided_wave);
+  for (const VertexId& id : delivered_ids) {
+    if (id.round >= floor_) delivered_vertices_.insert(id);
+  }
   delivered_count_ = delivered_count;
 #if DR_CONTRACTS_ENABLED
   decide_monotone_.last_decided = decided_wave;
@@ -138,24 +141,33 @@ void OrderingRule::handle_wave(Wave w, ProcessId leader_process) {
   on_wave_outcome(w, true);
   order_vertices(leaders_stack);
 
-  if (gc_depth_rounds_ > 0) {
-    const Round decided_round = wave_round(decided_wave_, 1, rpw);
-    if (decided_round > gc_depth_rounds_ + 1) {
-      const Round floor = decided_round - gc_depth_rounds_;
-      builder_.apply_gc_floor(floor);
-      // The delivered-id set no longer needs entries below the floor: the
-      // traversal prunes that region wholesale.
-      for (auto it = delivered_vertices_.begin();
-           it != delivered_vertices_.end();) {
-        it = it->round < floor ? delivered_vertices_.erase(it) : std::next(it);
-      }
+  floor_ = floor_of(decided_wave_);
+  if (floor_ > 0) {
+    // The builder may hold its own floor lower (laggard holdback keeps
+    // history servable), but delivery reads floor_ alone.
+    builder_.apply_gc_floor(floor_);
+    // The delivered-id set no longer needs entries below the floor: the
+    // traversal prunes that region wholesale.
+    for (auto it = delivered_vertices_.begin();
+         it != delivered_vertices_.end();) {
+      it = it->round < floor_ ? delivered_vertices_.erase(it) : std::next(it);
     }
   }
+}
+
+Round OrderingRule::floor_of(Wave w) const {
+  if (gc_depth_rounds_ == 0 || w == 0) return 0;
+  const Round r1 = wave_round(w, 1, builder_.options().rounds_per_wave);
+  return r1 > gc_depth_rounds_ + 1 ? r1 - gc_depth_rounds_ : 0;
 }
 
 void OrderingRule::order_vertices(
     std::vector<std::pair<Wave, VertexId>>& leaders_stack) {
   const dag::Dag& dag = builder_.dag();
+  // The traversal below never enters the compacted region (payloads and
+  // reachability bits are gone there) only because it stops at floor_.
+  DR_INVARIANT(dag.compacted_floor() <= floor_,
+               "builder compacted above the ordering floor");
   // Pop in reverse push order: earliest wave's leader delivers first.
   while (!leaders_stack.empty()) {
     const auto [wave, leader] = leaders_stack.back();
@@ -166,14 +178,15 @@ void OrderingRule::order_vertices(
 
     // Line 54: every vertex with a path from the leader, not yet delivered.
     // Genesis vertices (round 0) carry no payload and are skipped, as is
-    // anything below the GC floor (compacted == delivered by the GC
-    // contract). Pruning at delivered vertices is sound because the
+    // anything below the ordering floor (below it == delivered by the GC
+    // contract). The floor depends on the decided wave alone, never on the
+    // builder's held-back compaction, so every correct process skips the
+    // same rounds. Pruning at delivered vertices is sound because the
     // delivered set is causally closed (ancestors of a delivered vertex
     // are delivered).
-    const Round floor = dag.compacted_floor();
     std::vector<VertexId> to_deliver = dag.causal_history(
-        leader, [this, floor](VertexId id) {
-          return id.round == 0 || id.round < floor ||
+        leader, [this](VertexId id) {
+          return id.round == 0 || id.round < floor_ ||
                  delivered_vertices_.count(id) > 0;
         });
     // "In some deterministic order" (line 55): by (round, source).

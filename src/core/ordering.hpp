@@ -133,11 +133,15 @@ class OrderingRule {
   void set_commit_observer(CommitFn fn) { commit_observer_ = std::move(fn); }
 
   /// Enables DAG garbage collection (an extension over the paper; its
-  /// production descendants do the same): after wave w is decided, rounds
-  /// below round(w, 1) - depth_rounds are compacted. Trade-off: a correct
-  /// process whose vertex arrives more than ~depth_rounds late loses that
-  /// proposal (Validity becomes bounded-window); memory becomes bounded by
-  /// the window instead of growing with the run.
+  /// production descendants do the same). Once wave w is decided, the
+  /// ordering floor is round(w, 1) - depth_rounds: a_deliver treats every
+  /// vertex below it as settled, at every correct process alike, because
+  /// the floor is a function of the decided wave alone. The builder is asked
+  /// to compact below the same round; its laggard holdback may keep more
+  /// history (retention), never less. Trade-off: a correct process whose
+  /// vertex arrives more than ~depth_rounds late loses that proposal
+  /// (Validity becomes bounded-window); memory becomes bounded by the window
+  /// instead of growing with the run.
   void enable_gc(Round depth_rounds) { gc_depth_rounds_ = depth_rounds; }
 
   /// a_bcast(b, r): r is implicit — correct processes broadcast blocks with
@@ -148,8 +152,10 @@ class OrderingRule {
   /// the builder replays the WAL: waves up to `decided_wave` are treated as
   /// already decided (their re-fired wave_ready signals are suppressed), and
   /// `delivered_ids` marks vertices the pre-crash run already a_delivered so
-  /// deterministic replay does not deliver them twice. Must run on a fresh
-  /// rider. `delivered_count` continues the pre-crash sequence numbering.
+  /// deterministic replay does not deliver them twice. The ordering floor is
+  /// re-derived from `decided_wave`, and ids below it are dropped (the floor
+  /// settles them). Must run on a fresh rider, after enable_gc.
+  /// `delivered_count` continues the pre-crash sequence numbering.
   void restore(Wave decided_wave, std::uint64_t delivered_count,
                const std::vector<dag::VertexId>& delivered_ids);
 
@@ -193,6 +199,9 @@ class OrderingRule {
   /// vertex in the local DAG, if present.
   std::optional<dag::VertexId> wave_leader_vertex(Wave w, ProcessId leader) const;
   void order_vertices(std::vector<std::pair<Wave, dag::VertexId>>& leaders_stack);
+  /// The ordering floor once wave w is decided: round(w, 1) -
+  /// gc_depth_rounds_ when that is above 1, else 0 (always 0 with GC off).
+  Round floor_of(Wave w) const;
 
   dag::DagBuilder& builder_;
   coin::Coin& coin_;
@@ -210,6 +219,9 @@ class OrderingRule {
   std::uint64_t waves_evaluated_ = 0;
   bool processing_ = false;
   Round gc_depth_rounds_ = 0;  ///< 0 = GC disabled (the paper's semantics)
+  /// Ordering floor: vertices below it count as delivered. The one floor
+  /// that decides a_deliver; the builder's compacted floor never exceeds it.
+  Round floor_ = 0;
   DR_CONTRACT_STATE(WaveCommitMonotone decide_monotone_;)
 };
 

@@ -379,14 +379,13 @@ Vertex DagBuilder::create_new_vertex(Round r) {
 
 void DagBuilder::apply_gc_floor(Round floor) {
   // Laggard-aware holdback: never collect rounds the slowest recently-heard
-  // peer may still fetch over catch-up sync, up to gc_max_holdback_rounds of
+  // peer may still fetch over catch-up sync, up to kMaxGcHoldbackRounds of
   // history. Without this a depth-based floor outruns a restarted straggler
   // — by the time it asks for its missing parents every peer has already
   // freed them, and the straggler can never rejoin (DESIGN.md §10).
   if (gc_floor_cap_ < floor) {
-    const Round hold_limit = floor > options_.gc_max_holdback_rounds
-                                 ? floor - options_.gc_max_holdback_rounds
-                                 : 0;
+    const Round hold_limit =
+        floor > kMaxGcHoldbackRounds ? floor - kMaxGcHoldbackRounds : 0;
     const Round held = std::max(gc_floor_cap_, hold_limit);
     if (held < floor) ++stats_.gc_floor_holds;
     floor = held;

@@ -54,10 +54,6 @@ struct BuilderOptions {
   /// kept for the simulator; the node runtime enables it so a restarted or
   /// lagging node sprints to the frontier).
   Round lag_skip_threshold = 0;
-  /// Upper bound on how far the laggard-aware GC cap (set_gc_floor_cap) may
-  /// hold the floor below its depth-based target. Bounds the history a dead
-  /// or Byzantine straggler can pin in memory to O(n * holdback) vertices.
-  Round gc_max_holdback_rounds = 16384;
 };
 
 /// Monotonic builder counters, surfaced through node::Node::counters().
@@ -82,6 +78,10 @@ struct BuilderStats {
 
 /// set_gc_floor_cap value meaning "no peer constrains the floor".
 inline constexpr Round kNoGcFloorCap = ~Round{0};
+/// Upper bound on how far the laggard-aware GC cap (set_gc_floor_cap) may
+/// hold the floor below its depth-based target. Bounds the history a dead
+/// or Byzantine straggler can pin in memory to O(n * holdback) vertices.
+inline constexpr Round kMaxGcHoldbackRounds = 16384;
 
 class DagBuilder {
  public:
@@ -161,21 +161,25 @@ class DagBuilder {
   /// hygiene). Exposed for tests and for Byzantine-input fuzzing.
   bool validate(const Vertex& v) const;
 
-  /// Raises the garbage-collection floor (driven by the ordering layer
-  /// after delivery): rounds below `floor` are compacted in the DAG,
-  /// buffered vertices for them are dropped, and deliveries for them are
-  /// rejected. Monotonic; see Dag::compact_below for the semantics.
-  /// The requested floor is first clamped by the laggard-aware cap below.
+  /// Raises the retention floor (driven by the ordering layer after
+  /// delivery, with its ordering floor): rounds below `floor` are compacted
+  /// in the DAG, buffered vertices for them are dropped, and deliveries for
+  /// them are rejected. Monotonic; see Dag::compact_below for the semantics.
+  /// The requested floor is first clamped by the laggard-aware cap below,
+  /// so gc_floor() never exceeds the ordering floor that requested it.
   void apply_gc_floor(Round floor);
+  /// Retention floor: what memory holds and catch-up can serve. Delivery
+  /// never reads it (core::OrderingRule owns the ordering floor).
   Round gc_floor() const { return gc_floor_; }
 
   /// Laggard-aware GC holdback (DESIGN.md §10): the node layer lowers this
   /// cap to just below the round of the slowest peer it has recently heard
-  /// from, so the floor never collects history that a live-but-lagging peer
+  /// from, so retention never drops history that a live-but-lagging peer
   /// could still fetch over catch-up sync — without it, a depth-based floor
-  /// outruns a restarted straggler and makes its recovery impossible.
-  /// kNoGcFloorCap (the default) disables the clamp; the clamp is in turn
-  /// bounded by gc_max_holdback_rounds so a dead peer cannot pin memory.
+  /// outruns a restarted straggler and makes its recovery impossible. The
+  /// cap only keeps memory; what a_deliver skips is still the ordering
+  /// floor. kNoGcFloorCap (the default) disables the clamp; the clamp is in
+  /// turn bounded by kMaxGcHoldbackRounds so a dead peer cannot pin memory.
   void set_gc_floor_cap(Round cap) { gc_floor_cap_ = cap; }
   /// Highest round of any validated delivery from `source` (live, restore,
   /// or sync) — the node layer's per-peer progress estimate for the cap.

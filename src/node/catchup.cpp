@@ -173,9 +173,18 @@ void CatchupSync::tick(std::uint64_t now_us) {
   // A buffered vertex can be waiting on a parent BELOW the current round:
   // after a restart a round may hold only the 2f+1 vertices that advanced
   // it, and a later vertex's strong or weak edge to one of the absent slots
-  // blocks insertion forever unless requests reach below `local`.
+  // blocks insertion forever unless requests reach below `local`. A parent
+  // missing AT (or above) the local round is usually still in flight, but
+  // when the frontier is only one round ahead nothing else asks for it:
+  // request it once the same gap has lasted kRetryAfterUs.
   const Round missing = builder_.lowest_missing_parent_round();
-  const bool parent_gap = missing != 0 && missing < local;
+  if (missing != stalled_parent_round_) {
+    stalled_parent_round_ = missing;
+    stalled_since_us_ = now_us;
+  }
+  const bool parent_gap =
+      missing != 0 &&
+      (missing < local || now_us - stalled_since_us_ >= kRetryAfterUs);
   if (!parent_gap && frontier < local + kMinLag) {
     // Caught up (or nearly): drop request state; accepted_ only has to
     // bridge the window until the DAG absorbs each id (pruned below).

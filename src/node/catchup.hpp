@@ -95,6 +95,10 @@ class CatchupSync {
   std::map<dag::VertexId, std::map<crypto::Digest, Voucher>> tally_;
   /// Slots already handed to the builder (sync_deliver is one-shot here).
   std::unordered_set<dag::VertexId, dag::VertexIdHash> accepted_;
+  /// The builder's lowest missing parent round at the last tick, and since
+  /// when it has been that round (the stalled-parent rule in tick()).
+  Round stalled_parent_round_ = 0;
+  std::uint64_t stalled_since_us_ = 0;
   CatchupStats stats_;
 };
 

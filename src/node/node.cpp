@@ -23,6 +23,11 @@ constexpr std::size_t kBlockMaxTxs = 256;
 constexpr std::size_t kMaxBlocksPending = 2;
 /// Event-loop sleep cap when the inbox is empty.
 constexpr std::chrono::milliseconds kIdleWait{1};
+/// Laggard-aware GC holdback: a peer heard from within this window pins the
+/// builder's retention floor to just below its highest delivered round,
+/// keeping the history it may still catch-up-fetch servable. A peer silent
+/// for longer stops constraining retention.
+constexpr std::uint64_t kPeerLivenessUs = 2'000'000;
 
 }  // namespace
 
@@ -139,7 +144,7 @@ void Node::refresh_gc_floor_cap(std::uint64_t now) {
   // round back, weak edges a few waves); a peer silent past the liveness
   // window stops constraining, and DagBuilder::apply_gc_floor bounds the
   // total holdback so a dead peer cannot pin memory forever.
-  if (opts_.gc_depth_rounds == 0 || opts_.gc_peer_liveness_us == 0) return;
+  if (opts_.gc_depth_rounds == 0) return;
   // Every loop iteration: the scan is O(n) over counters already in cache,
   // and a stale cap lags the frontier by however long it goes unrefreshed,
   // eating into the margin below.
@@ -147,7 +152,7 @@ void Node::refresh_gc_floor_cap(std::uint64_t now) {
   Round cap = dag::kNoGcFloorCap;
   for (ProcessId p = 0; p < committee().n; ++p) {
     if (p == pid()) continue;
-    if (last_heard_us_[p] + opts_.gc_peer_liveness_us < now) continue;
+    if (last_heard_us_[p] + kPeerLivenessUs < now) continue;
     const Round r = builder_->highest_round_from(p);
     cap = std::min(cap, r > margin ? r - margin : Round{0});
   }
@@ -166,14 +171,12 @@ void Node::recover_from_store() {
             snap.rounds_per_wave == builder_->options().rounds_per_wave,
                   "snapshot written under a different ordering personality");
     floor = snap.gc_floor;
+    // The rider drops ids below its own ordering floor, which it re-derives
+    // from the decided wave; the builder's retention floor may sit lower.
     std::vector<dag::VertexId> delivered_ids;
     delivered_ids.reserve(snap.delivered.size());
     for (const core::DeliveredRecord& d : snap.delivered) {
-      // Ids below the floor are pruned from the rider's dedup set anyway
-      // (the causal traversal skips the compacted region wholesale).
-      if (d.round >= floor) {
-        delivered_ids.push_back(dag::VertexId{d.source, d.round});
-      }
+      delivered_ids.push_back(dag::VertexId{d.source, d.round});
     }
     {
       std::lock_guard<std::mutex> lk(log_mu_);

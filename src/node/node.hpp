@@ -55,12 +55,11 @@ struct NodeOptions {
   /// faithfully; any other value replaces the RBC with an attacking one
   /// (core/byzantine.hpp).
   core::ByzantineProfile byzantine = core::ByzantineProfile::kHonest;
+  /// DAG garbage collection (DESIGN.md §10): 0 = off (the paper's unbounded
+  /// DAG). Otherwise rounds more than this far below the last decided
+  /// wave's first round count as delivered and are compacted, except what
+  /// the laggard holdback keeps servable for a peer heard from recently.
   Round gc_depth_rounds = 0;
-  /// Laggard-aware GC holdback: a peer heard from within this window pins
-  /// the GC floor cap to just below its highest delivered round, keeping the
-  /// history it may still catch-up-fetch servable (DESIGN.md §10). A peer
-  /// silent for longer stops constraining the floor. 0 disables the clamp.
-  std::uint64_t gc_peer_liveness_us = 2'000'000;
   std::uint64_t seed = 1;
   /// Client ingress front end: when enabled, start() also opens a TCP
   /// tx-submission endpoint (ingress.port 0 = kernel-assigned, read back via

@@ -6,7 +6,9 @@
 
 #include <set>
 
+#include "core/audit.hpp"
 #include "core/system.hpp"
+#include "sim/adversary.hpp"
 #include "sim/network.hpp"
 
 namespace dr::core {
@@ -129,6 +131,38 @@ TEST(DagGc, LateVertexBelowFloorIsDroppedNotCrashed) {
   sys.simulator().run(200'000);
   // No crash, no new round-1 vertex, properties intact.
   EXPECT_TRUE(prefix_consistent(sys));
+}
+
+// The ordering floor is a function of the decided wave alone. A process
+// whose builder holds its compaction back (the runtime's laggard holdback,
+// pinned here at round 1) must still skip exactly the rounds every other
+// process skips: a delivery floor read from the held-back builder makes p0
+// re-deliver everything between the two floors, once per later commit.
+TEST(DagGc, HeldBackFloorDoesNotRedeliver) {
+  SystemConfig cfg;
+  cfg.committee = Committee::for_f(1);
+  cfg.seed = 5;
+  cfg.rbc_kind = rbc::RbcKind::kBracha;
+  cfg.builder.auto_blocks = true;
+  cfg.builder.auto_block_size = 16;
+  cfg.gc_depth_rounds = 8;
+  cfg.delays = std::make_unique<sim::FixedSetDelay>(
+      std::vector<ProcessId>{3}, 10, 200);
+  System sys(std::move(cfg));
+  sys.node(0).builder().set_gc_floor_cap(1);
+  sys.start();
+  ASSERT_TRUE(sys.run_until_delivered(400));
+
+  std::vector<std::vector<DeliveredRecord>> delivered;
+  std::vector<std::vector<CommitRecord>> commits;
+  for (ProcessId pid : sys.correct_ids()) {
+    delivered.push_back(sys.node(pid).delivered());
+    commits.push_back(sys.node(pid).commits());
+  }
+  const auto violation = audit_logs(delivered, commits);
+  EXPECT_FALSE(violation.has_value()) << *violation;
+  EXPECT_TRUE(prefix_consistent(sys));
+  EXPECT_EQ(sys.node(0).builder().gc_floor(), 1u) << "the cap did not hold";
 }
 
 TEST(DagGc, BitsetTruncation) {

@@ -16,6 +16,8 @@
 #include "core/audit.hpp"
 #include "dag/builder.hpp"
 #include "metrics/counters.hpp"
+#include "net/frame.hpp"
+#include "node/catchup.hpp"
 #include "node/cluster.hpp"
 #include "rbc/factory.hpp"
 #include "sim/network.hpp"
@@ -397,7 +399,7 @@ TEST(BuilderGcStats, DropPathsAreCounted) {
 }
 
 // Laggard-aware GC holdback: the floor cap keeps history a slow peer still
-// needs, and gc_max_holdback_rounds bounds how much it can pin.
+// needs, and kMaxGcHoldbackRounds bounds how much it can pin.
 TEST(BuilderGcStats, FloorCapHoldsHistoryForLaggards) {
   const Committee c = Committee::for_f(1);
   NoopRbc rbc;
@@ -412,13 +414,12 @@ TEST(BuilderGcStats, FloorCapHoldsHistoryForLaggards) {
   EXPECT_EQ(builder.gc_floor(), 40u);
   EXPECT_EQ(builder.stats().gc_floor_holds, 1u);
 
-  // A cap pinned far below cannot hold more than gc_max_holdback_rounds.
+  // A cap pinned far below cannot hold more than kMaxGcHoldbackRounds.
   NoopRbc rbc2;
-  DagBuilder bounded(c, 0, rbc2,
-                     BuilderOptions{.gc_max_holdback_rounds = 16});
+  DagBuilder bounded(c, 0, rbc2);
   bounded.set_gc_floor_cap(1);
-  bounded.apply_gc_floor(100);
-  EXPECT_EQ(bounded.gc_floor(), 84u);
+  bounded.apply_gc_floor(kMaxGcHoldbackRounds + 100);
+  EXPECT_EQ(bounded.gc_floor(), 100u);
   EXPECT_EQ(bounded.stats().gc_floor_holds, 1u);
 }
 
@@ -439,6 +440,63 @@ TEST(BuilderGcStats, HighestRoundFromTracksDeliveries) {
   rbc.inject(1, 3, v.serialize());  // buffered (round 3 > current round 1)
   EXPECT_EQ(builder.highest_round_from(1), 3u);
   EXPECT_EQ(builder.highest_round_from(2), 0u);
+}
+
+// Restart wedge: a buffered vertex waits on a parent missing AT the local
+// round while the frontier is only one round ahead. Neither the lag rule
+// (frontier >= local + 2) nor the below-local parent rule asks for it, so
+// catch-up must request it once the same gap has lasted the retry timeout.
+TEST(CatchupSync, FetchesParentMissingAtLocalRoundOnceStalled) {
+  constexpr std::uint64_t kRetryAfterUs = 200'000;  // node/catchup.cpp
+  const Committee c = Committee::for_f(1);
+  sim::Simulator sim(5);
+  sim::Network net(sim, c, std::make_unique<sim::UniformDelay>(1, 1));
+  NoopRbc rbc;
+  DagBuilder builder(c, 0, rbc, BuilderOptions{.auto_blocks = true});
+  node::CatchupSync catchup(net, 0, builder);
+  std::vector<net::VertexRequest> requests;
+  for (ProcessId p = 1; p < c.n; ++p) {
+    net.subscribe(p, net::Channel::kSync,
+                  [&](ProcessId, const net::Payload& payload) {
+                    auto msg = net::decode_sync_message(payload.view(), c.n);
+                    ASSERT_TRUE(msg.ok());
+                    ASSERT_TRUE(msg.value().request.has_value());
+                    requests.push_back(*msg.value().request);
+                  });
+  }
+
+  builder.start();  // round 1; the own proposal is swallowed by NoopRbc
+  const auto vertex = [&](ProcessId source, Round r) {
+    Vertex v;
+    v.source = source;
+    v.round = r;
+    v.block = Bytes(8, 0xAB);
+    for (ProcessId p = 0; p < c.quorum(); ++p) v.strong_edges.push_back(p);
+    return v;
+  };
+  // Three round-1 vertices close round 1: local round 2.
+  for (ProcessId p = 1; p < c.n; ++p) rbc.inject(p, 1, vertex(p, 1).serialize());
+  // A round-3 vertex whose round-2 parents never arrived: frontier 3.
+  rbc.inject(1, 3, vertex(1, 3).serialize());
+  const Round local = builder.current_round();
+  ASSERT_EQ(local, 2u);
+  ASSERT_EQ(builder.highest_seen_round(), local + 1);
+  ASSERT_EQ(builder.lowest_missing_parent_round(), local);
+
+  const std::uint64_t t0 = 1'000'000;
+  catchup.tick(t0);
+  catchup.tick(t0 + kRetryAfterUs - 1);
+  sim.run();
+  EXPECT_TRUE(requests.empty()) << "requested before the gap stalled";
+  EXPECT_EQ(catchup.stats().requests_sent, 0u);
+
+  catchup.tick(t0 + kRetryAfterUs);
+  sim.run();
+  ASSERT_FALSE(requests.empty()) << "stalled parent gap never requested";
+  for (const net::VertexRequest& rq : requests) {
+    EXPECT_LE(rq.from_round, local);
+    EXPECT_GE(rq.to_round, local);
+  }
 }
 
 // Deterministic restore: replaying one builder's DAG through the restore API
