@@ -39,7 +39,6 @@ double smr_time_units_for_n_outputs(std::uint32_t n,
   cfg.seed = seed;
   cfg.backend = backend;
   cfg.batch_size = 32;
-  cfg.window = n;  // the paper's "up to n slots concurrently"
   cfg.delays = slow_f_delays(n);
   baselines::SmrSystem sys(std::move(cfg));
   const sim::SimTime unit = sys.network().max_delay();

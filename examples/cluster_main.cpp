@@ -125,7 +125,7 @@ std::vector<std::unique_ptr<node::Node>> make_tcp_nodes(
   std::vector<std::unique_ptr<node::Node>> nodes;
   for (ProcessId pid = lo; pid < hi; ++pid) {
     nodes.push_back(std::make_unique<node::Node>(
-        std::make_unique<net::TcpTransport>(committee, pid, peers), &dealer,
+        std::make_unique<net::TcpTransport>(committee, pid, peers), dealer,
         opts));
   }
   return nodes;

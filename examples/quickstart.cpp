@@ -55,11 +55,12 @@ int main() {
                 static_cast<unsigned long long>(r.round), r.source,
                 r.block_size);
   }
+  const bool consistent = core::prefix_consistent(sys);
   std::printf("total order across processes: %s\n",
-              core::prefix_consistent(sys) ? "consistent" : "VIOLATED");
+              consistent ? "consistent" : "VIOLATED");
   std::printf("committed waves at process 0: %zu, decided wave %llu\n",
               sys.node(0).commits().size(),
               static_cast<unsigned long long>(
                   sys.node(0).rider().decided_wave()));
-  return 0;
+  return consistent ? 0 : 1;
 }

@@ -67,10 +67,10 @@ std::vector<Bytes> seed_inputs() {
   using namespace dr::net;
   std::vector<Bytes> seeds;
   auto with_n = [](std::uint8_t n, const Bytes& stream) {
-    Bytes s;
-    s.push_back(n);
-    s.insert(s.end(), stream.begin(), stream.end());
-    return s;
+    ByteWriter w(1 + stream.size());
+    w.u8(n);
+    w.raw(stream);
+    return std::move(w).take();
   };
   // One well-formed frame per channel.
   for (std::uint32_t ch = 1; channel_valid(ch); ++ch) {

@@ -118,10 +118,10 @@ std::vector<Bytes> seed_inputs() {
   using namespace dr::ingress;
   std::vector<Bytes> seeds;
   auto with_surface = [](std::uint8_t surface, const Bytes& body) {
-    Bytes s;
-    s.push_back(surface);
-    s.insert(s.end(), body.begin(), body.end());
-    return s;
+    ByteWriter w(1 + body.size());
+    w.u8(surface);
+    w.raw(body);
+    return std::move(w).take();
   };
 
   // Well-formed hellos on both surfaces.

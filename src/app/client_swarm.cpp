@@ -12,7 +12,7 @@ ClientSwarm::ClientSwarm(core::System& sys, WorkloadConfig cfg,
       cfg_(cfg),
       rng_(seed),
       service_(sys, [] { return std::make_unique<KvStore>(); },
-               cfg.batch_max, cfg.pump_every),
+               cfg.batch_max),
       correct_(sys.correct_ids()) {}
 
 void ClientSwarm::start() {

@@ -20,7 +20,6 @@ struct WorkloadConfig {
   double tx_per_tick = 0.05;      ///< aggregate client submission rate
   std::size_t tx_payload = 64;    ///< bytes per transaction
   std::size_t batch_max = 64;     ///< max transactions per proposed block
-  sim::SimTime pump_every = 50;   ///< proposal pacing interval (ticks)
   /// How many distinct processes each transaction is submitted to (>= 1;
   /// redundancy lowers the loss risk if the chosen process is faulty).
   std::uint32_t submit_copies = 1;

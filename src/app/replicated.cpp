@@ -4,10 +4,17 @@
 
 namespace dr::app {
 
+namespace {
+
+/// Proposal pacing interval (ticks): each correct replica tops up its
+/// builder's block queue this often.
+constexpr sim::SimTime kPumpEvery = 50;
+
+}  // namespace
+
 ReplicatedService::ReplicatedService(core::System& sys, MachineFactory factory,
-                                     std::size_t batch_max,
-                                     sim::SimTime pump_every)
-    : sys_(sys), batch_max_(batch_max), pump_every_(pump_every) {
+                                     std::size_t batch_max)
+    : sys_(sys), batch_max_(batch_max) {
   correct_ = sys_.correct_ids();
   DR_ASSERT_MSG(!correct_.empty(), "ReplicatedService needs a correct process");
   for (ProcessId p = 0; p < sys_.n(); ++p) {
@@ -50,7 +57,7 @@ void ReplicatedService::start() {
 }
 
 void ReplicatedService::schedule_pump(ProcessId p) {
-  sys_.simulator().schedule(pump_every_, [this, p] {
+  sys_.simulator().schedule(kPumpEvery, [this, p] {
     // Keep the proposal queue primed: one pending block at a time so every
     // vertex carries the freshest batch.
     if (sys_.node(p).builder().blocks_pending() == 0) {

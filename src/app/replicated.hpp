@@ -25,8 +25,7 @@ class ReplicatedService {
   /// Builds one state machine and one mempool per process and hooks block
   /// delivery into deterministic execution. Call before System::start().
   ReplicatedService(core::System& sys, MachineFactory factory,
-                    std::size_t batch_max = 32,
-                    sim::SimTime pump_every = 50);
+                    std::size_t batch_max = 32);
 
   /// Submits a command at replica `p` (rejected if duplicate id).
   bool submit(ProcessId p, std::uint64_t command_id, Bytes command);
@@ -54,7 +53,6 @@ class ReplicatedService {
 
   core::System& sys_;
   std::size_t batch_max_;
-  sim::SimTime pump_every_;
   std::vector<std::unique_ptr<StateMachine>> machines_;
   std::vector<std::unique_ptr<ingress::Mempool>> pools_;
   std::vector<ProcessId> correct_;

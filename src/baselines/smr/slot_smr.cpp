@@ -6,13 +6,11 @@
 namespace dr::baselines {
 
 SlotSmrNode::SlotSmrNode(sim::Network& net, ProcessId pid, coin::Coin& coin,
-                         SmrBackend backend, std::uint32_t window,
-                         std::size_t batch_size, std::uint64_t seed,
-                         sim::Simulator& sim)
+                         SmrBackend backend, std::size_t batch_size,
+                         std::uint64_t seed, sim::Simulator& sim)
     : net_(net),
       pid_(pid),
       sim_(sim),
-      window_(window == 0 ? net.n() : window),
       batch_size_(batch_size),
       seed_(seed) {
   auto decide = [this](SlotId slot, ProcessId proposer, const Bytes& value) {
@@ -39,7 +37,8 @@ void SlotSmrNode::start() {
 }
 
 void SlotSmrNode::propose_pending() {
-  while (next_to_propose_ < next_to_output_ + window_) {
+  // Up to n slots in flight: the paper's "up to n slots concurrently".
+  while (next_to_propose_ < next_to_output_ + net_.n()) {
     const SlotId slot = next_to_propose_++;
     if (vaba_) {
       vaba_->propose(slot, batch_for(slot));
@@ -88,8 +87,8 @@ SmrSystem::SmrSystem(SmrSystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed
     coins_.push_back(std::make_unique<coin::ThresholdCoin>(
         *net_, coin::ProcessCoinKey(dealer_.get(), pid)));
     nodes_.push_back(std::make_unique<SlotSmrNode>(
-        *net_, pid, *coins_.back(), cfg_.backend, cfg_.window, cfg_.batch_size,
-        cfg_.seed, sim_));
+        *net_, pid, *coins_.back(), cfg_.backend, cfg_.batch_size, cfg_.seed,
+        sim_));
   }
 }
 

@@ -1,9 +1,9 @@
 // Slot-parallel SMR driver over VABA or Dumbo-MVBA — the "VABA SMR" and
 // "Dumbo SMR" rows of Table 1. An unbounded sequence of slots is agreed on
-// independently; up to `window` (= n in the paper's comparison) slots run
-// concurrently, but outputs must be emitted in slot order with no gaps —
-// which is precisely what makes the time complexity O(log n) per n outputs
-// (Ben-Or & El-Yaniv: max of n geometric latencies).
+// independently; up to n slots run concurrently (the paper's comparison),
+// but outputs must be emitted in slot order with no gaps — which is
+// precisely what makes the time complexity O(log n) per n outputs (Ben-Or &
+// El-Yaniv: max of n geometric latencies).
 #pragma once
 
 #include <functional>
@@ -38,8 +38,8 @@ class SlotSmrNode {
   };
 
   SlotSmrNode(sim::Network& net, ProcessId pid, coin::Coin& coin,
-              SmrBackend backend, std::uint32_t window, std::size_t batch_size,
-              std::uint64_t seed, sim::Simulator& sim);
+              SmrBackend backend, std::size_t batch_size, std::uint64_t seed,
+              sim::Simulator& sim);
 
   void start();
 
@@ -58,7 +58,6 @@ class SlotSmrNode {
   sim::Network& net_;
   ProcessId pid_;
   sim::Simulator& sim_;
-  std::uint32_t window_;
   std::size_t batch_size_;
   std::uint64_t seed_;
   std::unique_ptr<Vaba> vaba_;        // backend kVaba
@@ -75,7 +74,6 @@ struct SmrSystemConfig {
   Committee committee = Committee::for_f(1);
   std::uint64_t seed = 1;
   SmrBackend backend = SmrBackend::kVaba;
-  std::uint32_t window = 0;  ///< concurrent slots; 0 -> n (paper's setting)
   std::size_t batch_size = 64;
   std::unique_ptr<sim::DelayModel> delays;  ///< nullptr -> UniformDelay(1, 100)
   std::vector<ProcessId> crashed;

@@ -127,7 +127,6 @@ void Vaba::handle_step(SlotId slot, std::uint64_t view, ProcessId from,
     promo.value = std::move(value);
   }
   if (vs.abandoned || st.decided) return;  // stop acking after abandon
-  if (validity_ && !validity_(slot, from, promo.value)) return;
   ByteWriter w(32);
   w.u8(kAck);
   w.u64(slot);

@@ -39,14 +39,9 @@ class Vaba {
   /// decide(slot, proposer-whose-value-won, value).
   using DecideFn =
       std::function<void(SlotId slot, ProcessId proposer, const Bytes& value)>;
-  /// External validity: whether to ack `proposer`'s promotion of `value`.
-  using ValidityFn =
-      std::function<bool(SlotId slot, ProcessId proposer, BytesView value)>;
 
   Vaba(sim::Network& net, ProcessId pid, coin::Coin& coin, DecideFn decide,
        sim::Channel channel = sim::Channel::kVaba);
-
-  void set_validity(ValidityFn fn) { validity_ = std::move(fn); }
 
   /// Proposes this process's value for `slot` (starts view 1).
   void propose(SlotId slot, Bytes value);
@@ -122,7 +117,6 @@ class Vaba {
   ProcessId pid_;
   coin::Coin& coin_;
   DecideFn decide_;
-  ValidityFn validity_;
   sim::Channel channel_;
   std::map<SlotId, SlotState> slots_;
 };

@@ -2,6 +2,14 @@
 
 namespace dr {
 
+Bytes ByteReader::raw(std::size_t n) {
+  if (!check(n)) return {};
+  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
+            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  pos_ += n;
+  return out;
+}
+
 std::string to_hex(BytesView b) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;

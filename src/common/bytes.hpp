@@ -67,14 +67,10 @@ class ByteReader {
   std::uint32_t u32() { return read_le<std::uint32_t>(); }
   std::uint64_t u64() { return read_le<std::uint64_t>(); }
 
-  /// Reads exactly n raw bytes (fixed-size digest fields).
-  Bytes raw(std::size_t n) {
-    if (!check(n)) return {};
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
+  /// Reads exactly n raw bytes (fixed-size digest fields). Out of line:
+  /// inlined into a caller whose buffer GCC 12 can see, the copy trips a
+  /// false -Wstringop-overread on the length-checked path.
+  Bytes raw(std::size_t n);
 
   /// Reads a u32 length prefix then that many bytes.
   Bytes blob() {

@@ -269,7 +269,8 @@ void BullsharkRider::on_wave_outcome(Wave w, bool committed) {
     return;
   }
   ++consecutive_misses_;
-  if (mode_ == Mode::kSteady && consecutive_misses_ >= opts_.miss_threshold) {
+  if (mode_ == Mode::kSteady &&
+      consecutive_misses_ >= kBullsharkMissThreshold) {
     mode_ = Mode::kFallback;
     ++fallback_entries_;
     DR_LOG_TRACE("bullshark: %llu consecutive anchor misses, fallback mode",

@@ -13,8 +13,8 @@
 //  * BullsharkRider — the partially-synchronous Bullshark rule: 2-round
 //    waves, predefined round-robin anchors known in advance, n-2f votes
 //    (f+1 at n=3f+1) in the wave's second round, with every
-//    fallback_stride-th wave an asynchronous safety-net wave whose leader
-//    comes from the coin — the deterministic, replayable realization of
+//    kBullsharkFallbackStride-th wave an asynchronous safety-net wave whose
+//    leader comes from the coin — the deterministic, replayable realization of
 //    "fall back to the asynchronous path under attack" (DESIGN.md §14).
 //
 // Safety note (why one seam can host both rules): all correct processes
@@ -84,19 +84,20 @@ std::optional<OrderingKind> parse_ordering(std::string_view name);
 /// ablation bench varies it); Bullshark's rule is defined over 2-round waves.
 Round ordering_rounds_per_wave(OrderingKind kind);
 
-/// Knobs of the Bullshark personality. Defaults follow the paper's spirit;
-/// the chaos suite overrides them to stage leader-targeting attacks.
+/// Every kBullsharkFallbackStride-th Bullshark wave is an asynchronous
+/// safety-net wave: its leader is drawn from the common coin instead of the
+/// anchor schedule, so an adversary that mutes or partitions the (public)
+/// anchors cannot stall commits forever — the coin leader is unpredictable
+/// until the wave's votes are already cast.
+inline constexpr Wave kBullsharkFallbackStride = 4;
+/// Consecutive steady-wave anchor misses before the node-local state machine
+/// reports kFallback mode (telemetry + chaos-test observable; the commit rule
+/// itself is deterministic and identical at every process).
+inline constexpr std::uint64_t kBullsharkMissThreshold = 2;
+
+/// Test seam of the Bullshark personality: the chaos suite overrides the
+/// anchor schedule to stage leader-targeting attacks.
 struct BullsharkOptions {
-  /// Every stride-th wave is an asynchronous safety-net wave: its leader is
-  /// drawn from the common coin instead of the anchor schedule, so an
-  /// adversary that mutes or partitions the (public) anchors cannot stall
-  /// commits forever — the coin leader is unpredictable until the wave's
-  /// votes are already cast. 0 disables the safety net (pure steady state).
-  Wave fallback_stride = 4;
-  /// Consecutive steady-wave anchor misses before the node-local state
-  /// machine reports kFallback mode (telemetry + chaos-test observable; the
-  /// commit rule itself is deterministic and identical at every process).
-  std::uint64_t miss_threshold = 2;
   /// Steady-wave anchor schedule override; default is round-robin
   /// (w-1) % n. Tests point every anchor at a muted process to prove the
   /// safety-net waves alone keep the log growing.
@@ -245,9 +246,9 @@ class DagRider final : public OrderingRule {
 /// wave w's steady-state anchor is predefined (round-robin by default) and
 /// commits on n-2f strong-path votes in the wave's second round — one
 /// round-trip of latency instead of DAG-Rider's four rounds plus a coin.
-/// Every fallback_stride-th wave draws its leader from the coin instead:
-/// under an anchor-targeting attack those safety-net waves keep the log
-/// growing, because their leaders are unpredictable until the votes are
+/// Every kBullsharkFallbackStride-th wave draws its leader from the coin
+/// instead: under an anchor-targeting attack those safety-net waves keep the
+/// log growing, because their leaders are unpredictable until the votes are
 /// already in the DAG. A node-local miss counter reports degraded (fallback)
 /// mode for telemetry and the chaos suite; the commit rule itself never
 /// depends on local timing, which is what keeps replay deterministic and
@@ -262,13 +263,13 @@ class BullsharkRider final : public OrderingRule {
   OrderingKind kind() const override { return OrderingKind::kBullshark; }
 
   /// Node-local liveness health: kSteady while anchors keep committing,
-  /// kFallback after miss_threshold consecutive anchor misses (left again
-  /// on the next direct steady-wave commit).
+  /// kFallback after kBullsharkMissThreshold consecutive anchor misses (left
+  /// again on the next direct steady-wave commit).
   enum class Mode : std::uint8_t { kSteady, kFallback };
 
   Mode mode() const { return mode_; }
   bool is_fallback_wave(Wave w) const {
-    return opts_.fallback_stride > 0 && w % opts_.fallback_stride == 0;
+    return w % kBullsharkFallbackStride == 0;
   }
   /// Steady-wave anchor schedule (round-robin unless overridden).
   ProcessId anchor_of(Wave w) const;

@@ -202,7 +202,7 @@ void DagBuilder::on_deliver(ProcessId source, Round r, net::Payload payload,
   // invariant keeps holding; solicited volume is bounded by the sync layer's
   // in-flight window.)
   if (!phase_.restoring() && !solicited &&
-      buffered_per_source_[source] >= options_.buffer_quota_per_source) {
+      buffered_per_source_[source] >= kBufferQuotaPerSource) {
     ++stats_.quota_rejections;
     return;  // flooding defense: sender parked too many orphan vertices
   }

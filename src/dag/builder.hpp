@@ -38,12 +38,6 @@ struct BuilderOptions {
   /// If false, no weak edges are emitted — an ablation that knocks out the
   /// Validity property (DESIGN.md experiment ABL).
   bool weak_edges = true;
-  /// Maximum buffered (not-yet-insertable) vertices per source. A Byzantine
-  /// process can reference never-delivered parents to park garbage in the
-  /// buffer forever; the quota bounds that to O(n * quota) memory. A correct
-  /// process can legitimately run ahead by the delivery skew, so this must
-  /// comfortably exceed the expected round lead (default: 128 rounds).
-  std::size_t buffer_quota_per_source = 128;
   /// When > 0: at advancement time, if the local DAG already holds a 2f+1
   /// quorum in each of the next `lag_skip_threshold` rounds, this process is
   /// clearly behind the cluster frontier and advances WITHOUT creating and
@@ -78,6 +72,12 @@ struct BuilderStats {
 
 /// set_gc_floor_cap value meaning "no peer constrains the floor".
 inline constexpr Round kNoGcFloorCap = ~Round{0};
+/// Maximum buffered (not-yet-insertable) vertices per source. A Byzantine
+/// process can reference never-delivered parents to park garbage in the
+/// buffer forever; the quota bounds that to O(n * quota) memory. A correct
+/// process can legitimately run ahead by the delivery skew, so this must
+/// comfortably exceed the expected round lead.
+inline constexpr std::size_t kBufferQuotaPerSource = 128;
 /// Upper bound on how far the laggard-aware GC cap (set_gc_floor_cap) may
 /// hold the floor below its depth-based target. Bounds the history a dead
 /// or Byzantine straggler can pin in memory to O(n * holdback) vertices.

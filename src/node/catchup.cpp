@@ -195,9 +195,12 @@ void CatchupSync::tick(std::uint64_t now_us) {
   }
 
   // Everything from need_from upward may still be required; ranges entirely
-  // below it have been satisfied (insertion consumed their vertices).
+  // below it have been satisfied (insertion consumed their vertices). A
+  // parent missing above the local round does not excuse the rounds from
+  // local up to it: the builder still needs their quorums to advance, and
+  // no live traffic re-sends them.
   const Round need_from =
-      parent_gap ? missing : std::max<Round>(1, local);
+      std::max<Round>(1, parent_gap ? std::min(missing, local) : local);
 
   // Retire ranges the builder no longer needs, retry stale ones.
   for (std::size_t i = 0; i < inflight_.size();) {

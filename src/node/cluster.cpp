@@ -51,7 +51,7 @@ std::unique_ptr<Node> Cluster::build_node(ProcessId pid) {
     transport = tweaks_.transport_wrap(pid, std::move(transport));
     DR_ASSERT_MSG(transport != nullptr, "transport_wrap returned null");
   }
-  return std::make_unique<Node>(std::move(transport), &dealer_, node_opts(pid));
+  return std::make_unique<Node>(std::move(transport), dealer_, node_opts(pid));
 }
 
 Cluster::~Cluster() { stop(); }

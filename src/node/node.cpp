@@ -32,7 +32,7 @@ constexpr std::uint64_t kPeerLivenessUs = 2'000'000;
 }  // namespace
 
 Node::Node(std::unique_ptr<net::Transport> transport,
-           const coin::CoinDealer* dealer, NodeOptions opts)
+           const coin::CoinDealer& dealer, NodeOptions opts)
     : opts_(opts),
       transport_(std::move(transport)),
       bus_(*transport_),
@@ -63,13 +63,13 @@ Node::Node(std::unique_ptr<net::Transport> transport,
       bus_, my_pid,
       core::StackOptions{.rbc_kind = rbc::RbcKind::kBracha,
                          .byzantine = opts_.byzantine,
-                         .coin_mode = opts_.coin_mode,
+                         .coin_mode = core::CoinMode::kPiggyback,
                          .ordering = opts_.ordering,
                          .bullshark = {},
                          .builder = kBuilderOptions,
                          .gc_depth_rounds = opts_.gc_depth_rounds,
                          .seed = opts_.seed},
-      dealer, std::move(deliver), std::move(on_commit));
+      &dealer, std::move(deliver), std::move(on_commit));
   builder_ = &stack_->builder();
   rider_ = &stack_->rider();
 

@@ -40,7 +40,6 @@ namespace dr::node {
 /// Implementation tuning — batch size, queue bounds, loop pacing, catch-up
 /// timers — is fixed in the .cpp that reads it.
 struct NodeOptions {
-  core::CoinMode coin_mode = core::CoinMode::kPiggyback;
   /// Which commit rule orders the DAG (DESIGN.md §14). kBullshark forces
   /// 2-round waves (its wave geometry).
   core::OrderingKind ordering = core::OrderingKind::kDagRider;
@@ -119,10 +118,10 @@ class NodeBus final : public net::Bus {
 class Node {
  public:
   /// `dealer` must outlive the node and be derived from the same master seed
-  /// at every process (coin::kDealerSeedTweak); required for threshold /
-  /// piggyback coin modes, may be nullptr for kLocal.
+  /// at every process (coin::kDealerSeedTweak): every runtime node runs the
+  /// threshold coin with its shares piggybacked on its vertices.
   Node(std::unique_ptr<net::Transport> transport,
-       const coin::CoinDealer* dealer, NodeOptions opts = {});
+       const coin::CoinDealer& dealer, NodeOptions opts = {});
   ~Node();
 
   Node(const Node&) = delete;

@@ -94,37 +94,6 @@ class PartitionDelay final : public DelayModel {
   SimTime extra_;
 };
 
-/// Victim -> blind-group slowdown: messages from `victims` to `blind`
-/// processes are slow; every other link is fast. A victim's vertices stay
-/// strongly connected through the fast receivers but miss the blind group's
-/// round quorums, so when the coin elects a victim, its wave leader gathers
-/// sub-2f+1 support (no direct commit) while remaining reachable by strong
-/// paths — the precise precondition of Figure 2's transitive recovery.
-class SplitVictimDelay final : public DelayModel {
- public:
-  SplitVictimDelay(std::vector<ProcessId> victims, std::vector<ProcessId> blind,
-                   SimTime fast, SimTime slow)
-      : victims_(victims.begin(), victims.end()),
-        blind_(blind.begin(), blind.end()),
-        fast_(fast),
-        slow_(slow) {}
-
-  SimTime delay(ProcessId from, ProcessId to, Channel, std::size_t, SimTime,
-                Xoshiro256& rng) override {
-    if (victims_.count(from) > 0 && blind_.count(to) > 0) {
-      return slow_ + rng.below(slow_ / 4 + 1);
-    }
-    return 1 + rng.below(fast_);
-  }
-  SimTime max_delay() const override { return slow_ + slow_ / 4; }
-
- private:
-  std::unordered_set<ProcessId> victims_;
-  std::unordered_set<ProcessId> blind_;
-  SimTime fast_;
-  SimTime slow_;
-};
-
 /// Per-link asymmetric delays that re-randomize every `period` ticks: link
 /// (from -> to) is slow in epoch e iff H(from, to, e) hits. Unlike the
 /// victim-set models this desynchronizes *views*: two receivers observe the

@@ -270,13 +270,12 @@ TEST(Builder, BufferQuotaStopsOrphanFlooding) {
   sim::Simulator sim(3);
   sim::Network net(sim, c, std::make_unique<sim::UniformDelay>(1, 5));
   auto rbc = rbc::make_factory(rbc::RbcKind::kOracle)(net, 0, 1);
-  BuilderOptions opts{.auto_blocks = true};
-  opts.buffer_quota_per_source = 16;
-  DagBuilder b(c, 0, *rbc, opts);
+  DagBuilder b(c, 0, *rbc, BuilderOptions{.auto_blocks = true});
   b.start();
   net.corrupt(3);
 
-  for (Round r = 2; r < 200; ++r) {
+  // 399 orphans from one source, more than three times its quota.
+  for (Round r = 2; r <= 400; ++r) {
     Vertex orphan;
     orphan.strong_edges = {1, 2, 3};  // round r-1 parents that never arrive
     ByteWriter w;
@@ -285,8 +284,8 @@ TEST(Builder, BufferQuotaStopsOrphanFlooding) {
     net.send(3, 0, sim::Channel::kOracle, std::move(w).take());
   }
   sim.run();
-  EXPECT_LE(b.buffer_size(), 16u + 4u);
-  EXPECT_GT(b.quota_rejections(), 150u);
+  EXPECT_LE(b.buffer_size(), kBufferQuotaPerSource + 4u);
+  EXPECT_GT(b.quota_rejections(), 240u);
 }
 
 TEST(Builder, WorksOverBrachaToo) {

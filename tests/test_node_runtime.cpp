@@ -34,7 +34,6 @@ TEST(NodeRuntime, FourNodeClusterCommitsTenThousandTxs) {
   const Committee committee = Committee::for_f(1);
   NodeOptions opts;
   opts.seed = 42;
-  opts.coin_mode = core::CoinMode::kPiggyback;
   Cluster cluster(committee, opts);
 
   // Per-node count of client transactions observed in a_delivered blocks.
@@ -94,25 +93,6 @@ TEST(NodeRuntime, FourNodeClusterCommitsTenThousandTxs) {
   for (const auto& log : cluster.delivered_logs()) {
     EXPECT_GE(log.size(), committee.n * 4u);
   }
-}
-
-TEST(NodeRuntime, ThresholdCoinOnWireAlsoAgrees) {
-  // Same cluster but with coin shares broadcast on the dedicated channel
-  // instead of piggybacked — exercises the kCoin wire path end to end.
-  const Committee committee = Committee::for_f(1);
-  NodeOptions opts;
-  opts.seed = 7;
-  opts.coin_mode = core::CoinMode::kThreshold;
-  Cluster cluster(committee, opts);
-  cluster.start();
-
-  ASSERT_TRUE(cluster.wait_all_delivered(committee.n * 8ull,
-                                         std::chrono::minutes(2)));
-  cluster.stop();
-
-  const auto violation =
-      core::audit_logs(cluster.delivered_logs(), cluster.commit_logs());
-  ASSERT_FALSE(violation.has_value()) << *violation;
 }
 
 TEST(NodeRuntime, TcpClusterReachesAgreement) {

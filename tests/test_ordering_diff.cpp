@@ -210,8 +210,11 @@ std::vector<DiffScenario> make_diff_scenarios() {
   static std::deque<std::string> names;
   for (std::uint32_t n : {4u, 7u}) {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-      names.push_back("n" + std::to_string(n) + "_s" + std::to_string(seed));
-      out.push_back(DiffScenario{seed, n, names.back().c_str()});
+      std::string& name = names.emplace_back("n");
+      name += std::to_string(n);
+      name += "_s";
+      name += std::to_string(seed);
+      out.push_back(DiffScenario{seed, n, name.c_str()});
     }
   }
   return out;
@@ -234,12 +237,10 @@ TEST(BullsharkFallback, SafetyNetWavesCommitWhenAllAnchorsAreCrashed) {
   cfg.ordering = OrderingKind::kBullshark;
   // Every steady-state anchor is the crashed process: the adversary knows
   // the (public) anchor schedule and took its one seat down. Only the
-  // safety-net waves — every 2nd wave, leader drawn from the coin after the
-  // votes are cast — can commit.
+  // safety-net waves — every kBullsharkFallbackStride-th (4th) wave, leader
+  // drawn from the coin after the votes are cast — can commit.
   const ProcessId victim = 6;
   cfg.bullshark.anchor_of = [victim](Wave) { return victim; };
-  cfg.bullshark.fallback_stride = 2;
-  cfg.bullshark.miss_threshold = 2;
   cfg.builder.auto_blocks = true;
   cfg.builder.auto_block_size = 12;
   cfg.delays = std::make_unique<sim::UniformDelay>(1, 80);
@@ -261,8 +262,8 @@ TEST(BullsharkFallback, SafetyNetWavesCommitWhenAllAnchorsAreCrashed) {
     // came through the coin-drawn safety net.
     EXPECT_EQ(rider.steady_commits(), 0u);
     EXPECT_GT(rider.fallback_commits(), 0u);
-    // The miss counter saw >= miss_threshold consecutive anchor misses and
-    // reported degraded mode.
+    // The miss counter saw >= kBullsharkMissThreshold consecutive anchor
+    // misses and reported degraded mode.
     EXPECT_GE(rider.fallback_entries(), 1u);
     EXPECT_EQ(rider.mode(), BullsharkRider::Mode::kFallback);
   }

@@ -442,61 +442,110 @@ TEST(BuilderGcStats, HighestRoundFromTracksDeliveries) {
   EXPECT_EQ(builder.highest_round_from(2), 0u);
 }
 
-// Restart wedge: a buffered vertex waits on a parent missing AT the local
-// round while the frontier is only one round ahead. Neither the lag rule
-// (frontier >= local + 2) nor the below-local parent rule asks for it, so
-// catch-up must request it once the same gap has lasted the retry timeout.
-TEST(CatchupSync, FetchesParentMissingAtLocalRoundOnceStalled) {
-  constexpr std::uint64_t kRetryAfterUs = 200'000;  // node/catchup.cpp
-  const Committee c = Committee::for_f(1);
-  sim::Simulator sim(5);
-  sim::Network net(sim, c, std::make_unique<sim::UniformDelay>(1, 1));
-  NoopRbc rbc;
-  DagBuilder builder(c, 0, rbc, BuilderOptions{.auto_blocks = true});
-  node::CatchupSync catchup(net, 0, builder);
-  std::vector<net::VertexRequest> requests;
-  for (ProcessId p = 1; p < c.n; ++p) {
-    net.subscribe(p, net::Channel::kSync,
-                  [&](ProcessId, const net::Payload& payload) {
-                    auto msg = net::decode_sync_message(payload.view(), c.n);
-                    ASSERT_TRUE(msg.ok());
-                    ASSERT_TRUE(msg.value().request.has_value());
-                    requests.push_back(*msg.value().request);
-                  });
+/// One builder at local round 2 (round 1 closed by three peers' vertices)
+/// with its CatchupSync on a simulated bus whose peers only record the
+/// requests they receive. `orphan(r)` buffers a peer vertex of round r whose
+/// round r-1 parents never arrive.
+struct StalledCatchup {
+  static constexpr std::uint64_t kRetryAfterUs = 200'000;  // node/catchup.cpp
+  static constexpr std::uint64_t kT0 = 1'000'000;
+
+  StalledCatchup()
+      : net(sim, c, std::make_unique<sim::UniformDelay>(1, 1)),
+        builder(c, 0, rbc, BuilderOptions{.auto_blocks = true}),
+        catchup(net, 0, builder) {
+    for (ProcessId p = 1; p < c.n; ++p) {
+      net.subscribe(p, net::Channel::kSync,
+                    [this](ProcessId, const net::Payload& payload) {
+                      auto msg = net::decode_sync_message(payload.view(), c.n);
+                      ASSERT_TRUE(msg.ok());
+                      ASSERT_TRUE(msg.value().request.has_value());
+                      requests.push_back(*msg.value().request);
+                    });
+    }
+    builder.start();  // round 1; the own proposal is swallowed by NoopRbc
+    for (ProcessId p = 1; p < c.n; ++p) {
+      rbc.inject(p, 1, vertex(p, 1).serialize());
+    }
   }
 
-  builder.start();  // round 1; the own proposal is swallowed by NoopRbc
-  const auto vertex = [&](ProcessId source, Round r) {
+  Vertex vertex(ProcessId source, Round r) const {
     Vertex v;
     v.source = source;
     v.round = r;
     v.block = Bytes(8, 0xAB);
     for (ProcessId p = 0; p < c.quorum(); ++p) v.strong_edges.push_back(p);
     return v;
-  };
-  // Three round-1 vertices close round 1: local round 2.
-  for (ProcessId p = 1; p < c.n; ++p) rbc.inject(p, 1, vertex(p, 1).serialize());
-  // A round-3 vertex whose round-2 parents never arrived: frontier 3.
-  rbc.inject(1, 3, vertex(1, 3).serialize());
-  const Round local = builder.current_round();
+  }
+  void orphan(Round r) { rbc.inject(1, r, vertex(1, r).serialize()); }
+  /// Requests sent by one tick at `now_us`.
+  std::vector<net::VertexRequest> tick(std::uint64_t now_us) {
+    requests.clear();
+    catchup.tick(now_us);
+    sim.run();
+    return requests;
+  }
+
+  const Committee c = Committee::for_f(1);
+  sim::Simulator sim{5};
+  sim::Network net;
+  NoopRbc rbc;
+  DagBuilder builder;
+  node::CatchupSync catchup;
+  std::vector<net::VertexRequest> requests;
+};
+
+bool covers(const std::vector<net::VertexRequest>& requests, Round r) {
+  for (const net::VertexRequest& rq : requests) {
+    if (rq.from_round <= r && r <= rq.to_round) return true;
+  }
+  return false;
+}
+
+// Restart wedge: a buffered vertex waits on a parent missing AT the local
+// round while the frontier is only one round ahead. Neither the lag rule
+// (frontier >= local + 2) nor the below-local parent rule asks for it, so
+// catch-up must request it once the same gap has lasted the retry timeout.
+TEST(CatchupSync, FetchesParentMissingAtLocalRoundOnceStalled) {
+  StalledCatchup h;
+  h.orphan(3);  // frontier 3, its round-2 parents missing
+  const Round local = h.builder.current_round();
   ASSERT_EQ(local, 2u);
-  ASSERT_EQ(builder.highest_seen_round(), local + 1);
-  ASSERT_EQ(builder.lowest_missing_parent_round(), local);
+  ASSERT_EQ(h.builder.highest_seen_round(), local + 1);
+  ASSERT_EQ(h.builder.lowest_missing_parent_round(), local);
 
-  const std::uint64_t t0 = 1'000'000;
-  catchup.tick(t0);
-  catchup.tick(t0 + kRetryAfterUs - 1);
-  sim.run();
-  EXPECT_TRUE(requests.empty()) << "requested before the gap stalled";
-  EXPECT_EQ(catchup.stats().requests_sent, 0u);
+  const std::uint64_t t0 = StalledCatchup::kT0;
+  EXPECT_TRUE(h.tick(t0).empty());
+  EXPECT_TRUE(h.tick(t0 + StalledCatchup::kRetryAfterUs - 1).empty())
+      << "requested before the gap stalled";
+  EXPECT_EQ(h.catchup.stats().requests_sent, 0u);
 
-  catchup.tick(t0 + kRetryAfterUs);
-  sim.run();
+  const auto requests = h.tick(t0 + StalledCatchup::kRetryAfterUs);
   ASSERT_FALSE(requests.empty()) << "stalled parent gap never requested";
   for (const net::VertexRequest& rq : requests) {
     EXPECT_LE(rq.from_round, local);
     EXPECT_GE(rq.to_round, local);
   }
+}
+
+// Restart wedge, second shape: the stalled parent sits far ABOVE the local
+// round. The rounds from local up to it are missing too (nothing buffered
+// references them, so they are not "missing parents"), and the builder
+// cannot advance without their quorums. The stall must not retire their
+// requests and re-aim catch-up at the stalled parent alone.
+TEST(CatchupSync, StalledParentAboveLocalRoundKeepsFetchingFromLocal) {
+  StalledCatchup h;
+  h.orphan(21);  // frontier 21, its round-20 parents missing
+  const Round local = h.builder.current_round();
+  ASSERT_EQ(local, 2u);
+  ASSERT_EQ(h.builder.lowest_missing_parent_round(), 20u);
+
+  const std::uint64_t t0 = StalledCatchup::kT0;
+  EXPECT_TRUE(covers(h.tick(t0), local));  // frontier >= local + 2: lag rule
+  // The unanswered ranges go stale as the parent gap stalls; their retries
+  // must still reach down to the local round.
+  EXPECT_TRUE(covers(h.tick(t0 + StalledCatchup::kRetryAfterUs), local))
+      << "the stalled parent retired the requests below it";
 }
 
 // Deterministic restore: replaying one builder's DAG through the restore API
@@ -579,12 +628,13 @@ TEST(StorageRecoveryDeathTest, RefusesSnapshotOfOtherPersonality) {
     store.compact(snap, dag::Dag(committee));
   }
   NodeOptions opts;  // DagRider, 4-round waves
-  opts.coin_mode = core::CoinMode::kLocal;
   opts.wal_dir = dir;
   EXPECT_DEATH(
       {
         net::InProcNetwork net(committee);
-        Node node(net.endpoint(0), nullptr, opts);
+        const coin::CoinDealer dealer(opts.seed ^ coin::kDealerSeedTweak,
+                                      committee);
+        Node node(net.endpoint(0), dealer, opts);
         node.start();
         std::this_thread::sleep_for(std::chrono::seconds(5));
       },
