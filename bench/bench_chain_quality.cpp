@@ -13,6 +13,7 @@
 // no breach; at f=1 the minimum met the bound exactly). The bench exits 1
 // when any prefix falls short or a run stalls.
 #include "bench_util.hpp"
+#include "core/audit.hpp"
 
 namespace dr::bench {
 namespace {
@@ -51,33 +52,23 @@ bool run() {
       ok = false;
       continue;
     }
-    const auto& log = sys.node(0).delivered();
-    // Minimum correct share over all prefixes of size (2f+1)*r.
-    double min_share = 1.0;
-    std::uint64_t correct_so_far = 0;
-    std::uint64_t short_prefixes = 0;  // prefixes (2f+1)r with < (f+1)r correct
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      correct_so_far += sys.is_correct(log[i].source) ? 1u : 0u;
-      if ((i + 1) % c.quorum() == 0) {
-        min_share = std::min(
-            min_share, static_cast<double>(correct_so_far) /
-                           static_cast<double>(i + 1));
-        const std::uint64_t r = (i + 1) / c.quorum();
-        if (correct_so_far < (f + 1) * r) ++short_prefixes;
-      }
-    }
+    const auto logs = core::correct_logs(sys);
+    const core::ChainQuality cq =
+        core::audit_chain_quality(logs, c, sys.correct_ids());
     const double bound = static_cast<double>(f + 1) /
                          static_cast<double>(2 * f + 1);
     t.add_row({std::to_string(f), std::to_string(c.n),
-               std::to_string(log.size()), metrics::Table::fmt(min_share, 3),
+               std::to_string(logs[0].size()),
+               metrics::Table::fmt(cq.min_share, 3),
                metrics::Table::fmt(bound, 3)});
     verdicts.push_back("verdict f=" + std::to_string(f) +
                        ": min correct share " +
-                       metrics::Table::fmt(min_share, 3) + " >= " +
+                       metrics::Table::fmt(cq.min_share, 3) + " >= " +
                        metrics::Table::fmt(bound, 3) + ", short prefixes " +
-                       std::to_string(short_prefixes) + ": " +
-                       (short_prefixes == 0 ? "PASS" : "BREACH"));
-    ok = ok && short_prefixes == 0;
+                       std::to_string(cq.short_prefixes) + ": " +
+                       (cq.violation ? "BREACH" : "PASS"));
+    if (cq.violation) std::fprintf(stderr, "%s\n", cq.violation->c_str());
+    ok = ok && !cq.violation;
   }
   emit(t);
   std::printf(

@@ -212,11 +212,61 @@ void BM_DagInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_DagInsert)->Arg(4)->Arg(10)->Arg(31);
 
+/// Builds `rounds` rounds at n = 4 the way a long run does: each round's
+/// first n-1 vertices are on time and strongly reference the previous
+/// round's on-time vertices; source n-1's vertex arrives one round late, so
+/// only a weak edge (from source 0's next-but-one vertex, chosen by
+/// weak_edge_targets as the builder would) ever refers to it.
+dag::Dag build_deep_dag(Round rounds) {
+  constexpr std::uint32_t n = 4;
+  dag::Dag d(Committee::for_n(n));
+  const std::vector<ProcessId> on_time{0, 1, 2};
+  const auto vertex = [&](ProcessId p, Round r) {
+    dag::Vertex v;
+    v.source = p;
+    v.round = r;
+    v.block = Bytes{1};
+    v.strong_edges = on_time;
+    return v;
+  };
+  for (Round r = 1; r <= rounds; ++r) {
+    for (ProcessId p : on_time) {
+      dag::Vertex v = vertex(p, r);
+      if (p == 0) v.weak_edges = d.weak_edge_targets(r);
+      d.insert(std::move(v));
+    }
+    if (r >= 2) d.insert(vertex(n - 1, r - 1));  // the late vertex
+  }
+  return d;
+}
+
+constexpr Round kDeepRounds = 4000;
+
+/// Per-insert cost 4,000 rounds deep (items = vertices inserted).
+void BM_DagInsertDeep(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(build_deep_dag(kDeepRounds));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(4 * kDeepRounds - 1));
+}
+BENCHMARK(BM_DagInsertDeep);
+
+/// One proposal's weak-edge set 4,000 rounds deep.
+void BM_DagWeakEdgeTargets(benchmark::State& state) {
+  dag::Dag d = build_deep_dag(kDeepRounds);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(d.weak_edge_targets(kDeepRounds + 1));
+  }
+}
+BENCHMARK(BM_DagWeakEdgeTargets);
+
 void BM_DagStrongPathQuery(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const dag::Dag d = build_dag(n, 40);
   for (auto _ : state) {
-    // Deep query: top round to round 1 — O(1) via ancestor bitsets.
+    // Deep query: top round to round 1 — a level walk over 39 rounds of
+    // strong edges, O(n²) per round.
     benchmark::DoNotOptimize(
         d.strong_path(dag::VertexId{0, 40}, dag::VertexId{n - 1, 1}));
   }

@@ -81,6 +81,38 @@ std::optional<std::string> audit_commits(
   return std::nullopt;
 }
 
+ChainQuality audit_chain_quality(
+    const std::vector<std::vector<DeliveredRecord>>& logs,
+    const Committee& committee, const std::vector<ProcessId>& correct_ids) {
+  std::vector<bool> correct(committee.n, false);
+  for (ProcessId p : correct_ids) correct[p] = true;
+  const std::uint64_t quorum = committee.quorum();
+  ChainQuality out;
+  for (std::size_t p = 0; p < logs.size(); ++p) {
+    std::uint64_t correct_so_far = 0;
+    for (std::size_t i = 0; i < logs[p].size(); ++i) {
+      const ProcessId source = logs[p][i].source;
+      correct_so_far += source < committee.n && correct[source] ? 1u : 0u;
+      const std::uint64_t len = i + 1;
+      if (len % quorum != 0) continue;
+      out.min_share = std::min(out.min_share,
+                               static_cast<double>(correct_so_far) /
+                                   static_cast<double>(len));
+      const std::uint64_t needed = committee.small_quorum() * (len / quorum);
+      if (correct_so_far >= needed) continue;
+      ++out.short_prefixes;
+      if (!out.violation.has_value()) {
+        std::ostringstream os;
+        os << "chain quality violated: log " << p << "'s first " << len
+           << " entries hold " << correct_so_far
+           << " from correct processes, below (f+1)r = " << needed;
+        out.violation = os.str();
+      }
+    }
+  }
+  return out;
+}
+
 std::optional<std::string> audit_logs(
     const std::vector<std::vector<DeliveredRecord>>& delivered,
     const std::vector<std::vector<CommitRecord>>& commits) {

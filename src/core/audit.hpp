@@ -9,10 +9,12 @@
 // human-readable description of the first violation found.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
 #include "core/records.hpp"
 
 namespace dr::core {
@@ -32,7 +34,24 @@ std::optional<std::string> audit_integrity(
 std::optional<std::string> audit_commits(
     const std::vector<std::vector<CommitRecord>>& logs);
 
-/// Runs all three auditors; first violation wins.
+/// Chain quality (§3): in every ordered prefix of (2f+1)r entries, at least
+/// (f+1)r were broadcast by correct processes — every round contributes
+/// >= 2f+1 vertices of which at most f are Byzantine. Checks every such
+/// prefix of every log against the sources in `correct_ids`.
+struct ChainQuality {
+  /// Lowest correct share over all checked prefixes (1 when there are none).
+  double min_share = 1.0;
+  /// Prefixes holding fewer than (f+1)r correct entries, over all logs.
+  std::uint64_t short_prefixes = 0;
+  /// The first short prefix found, or nullopt when the bound holds.
+  std::optional<std::string> violation;
+};
+ChainQuality audit_chain_quality(
+    const std::vector<std::vector<DeliveredRecord>>& logs,
+    const Committee& committee, const std::vector<ProcessId>& correct_ids);
+
+/// Runs the total-order, integrity and commit auditors; first violation
+/// wins.
 std::optional<std::string> audit_logs(
     const std::vector<std::vector<DeliveredRecord>>& delivered,
     const std::vector<std::vector<CommitRecord>>& commits);

@@ -165,7 +165,7 @@ void OrderingRule::order_vertices(
     std::vector<std::pair<Wave, VertexId>>& leaders_stack) {
   const dag::Dag& dag = builder_.dag();
   // The traversal below never enters the compacted region (payloads and
-  // reachability bits are gone there) only because it stops at floor_.
+  // edge lists are gone there) only because it stops at floor_.
   DR_INVARIANT(dag.compacted_floor() <= floor_,
                "builder compacted above the ordering floor");
   // Pop in reverse push order: earliest wave's leader delivers first.

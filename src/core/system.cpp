@@ -1,7 +1,5 @@
 #include "core/system.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 #include "core/audit.hpp"
 
@@ -100,28 +98,16 @@ bool System::run_until_delivered(std::uint64_t count, std::uint64_t max_events) 
       max_events);
 }
 
-bool prefix_consistent(const System& sys) {
+std::vector<std::vector<DeliveredRecord>> correct_logs(const System& sys) {
   std::vector<std::vector<DeliveredRecord>> logs;
   for (ProcessId pid : sys.correct_ids()) {
     logs.push_back(sys.node(pid).delivered());
   }
-  return !audit_total_order(logs).has_value();
+  return logs;
 }
 
-double chain_quality(const System& sys) {
-  const std::vector<ProcessId> ids = sys.correct_ids();
-  if (ids.empty()) return 0.0;
-  std::size_t prefix = SIZE_MAX;
-  for (ProcessId pid : ids) {
-    prefix = std::min(prefix, sys.node(pid).delivered().size());
-  }
-  if (prefix == 0 || prefix == SIZE_MAX) return 0.0;
-  const auto& log = sys.node(ids[0]).delivered();
-  std::size_t correct_blocks = 0;
-  for (std::size_t i = 0; i < prefix; ++i) {
-    if (sys.is_correct(log[i].source)) ++correct_blocks;
-  }
-  return static_cast<double>(correct_blocks) / static_cast<double>(prefix);
+bool prefix_consistent(const System& sys) {
+  return !audit_total_order(correct_logs(sys)).has_value();
 }
 
 }  // namespace dr::core

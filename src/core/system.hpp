@@ -117,11 +117,10 @@ class System {
 
 /// Test/analysis helpers over delivered logs.
 
+/// Every correct process's delivered log, in correct_ids() order.
+std::vector<std::vector<DeliveredRecord>> correct_logs(const System& sys);
+
 /// True iff every pair of correct logs is prefix-consistent (Total Order).
 bool prefix_consistent(const System& sys);
-
-/// Chain quality of the longest common delivered prefix: fraction of
-/// blocks proposed by correct processes.
-double chain_quality(const System& sys);
 
 }  // namespace dr::core

@@ -224,7 +224,7 @@ bool DagBuilder::try_insert_buffered() {
     }
     // Paper processes buffered vertices with v.round <= r (Alg. 2 line 6).
     // Parents in rounds below the GC floor count as satisfied: their slots
-    // were freed, and Dag::insert skips their (truncated-anyway) bits.
+    // were freed, and Dag::insert skips them.
     bool ready = v.round <= round_;
     if (ready && v.round - 1 >= gc_floor_) {
       for (ProcessId p : v.strong_edges) {
@@ -366,7 +366,8 @@ Vertex DagBuilder::create_new_vertex(Round r) {
     v.block.assign(options_.auto_block_size, 0xAB);
   }
   v.strong_edges = dag_.round_sources(r - 1);  // Alg. 2 line 19
-  if (options_.weak_edges) set_weak_edges(v);
+  // Alg. 2 lines 27-31: a weak edge to every older vertex not yet reachable.
+  if (options_.weak_edges) v.weak_edges = dag_.weak_edge_targets(r);
   if (coin_provider_ && r % options_.rounds_per_wave == 1) {
     const Wave w = (r - 1) / options_.rounds_per_wave;
     if (w >= 1) {
@@ -396,32 +397,6 @@ void DagBuilder::apply_gc_floor(Round floor) {
   // Buffered vertices below the floor are dropped lazily on the next pump;
   // force one now so memory is released promptly.
   if (phase_.live()) pump();
-}
-
-void DagBuilder::set_weak_edges(Vertex& v) const {
-  // Alg. 2 lines 27-31: walk rounds v.round-2 down to 1 and add a weak edge
-  // to every vertex not already reachable. Reachability is tracked with a
-  // bitset built from the chosen parents' ancestor closures.
-  if (v.round < 3) return;
-  Bitset covered;
-  auto covered_test = [&](VertexId id) {
-    return covered.test(static_cast<std::size_t>(id.round) * committee_.n +
-                        id.source);
-  };
-  // Seed with the strong parents' ancestor closures: the union is exactly
-  // the set reachable from v-to-be before any weak edges are added.
-  for (ProcessId p : v.strong_edges) {
-    dag_.merge_closure_into(VertexId{p, v.round - 1}, covered);
-  }
-  const Round scan_floor = std::max<Round>(1, gc_floor_);
-  for (Round r = v.round - 2; r >= scan_floor; --r) {
-    for (ProcessId p : dag_.round_sources(r)) {
-      const VertexId u{p, r};
-      if (covered_test(u)) continue;
-      v.weak_edges.push_back(u);
-      dag_.merge_closure_into(u, covered);
-    }
-  }
 }
 
 }  // namespace dr::dag

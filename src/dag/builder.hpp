@@ -204,7 +204,6 @@ class DagBuilder {
   /// Creates (or, post-restore, replays) and broadcasts the round-r vertex.
   void propose(Round r);
   Vertex create_new_vertex(Round r);
-  void set_weak_edges(Vertex& v) const;
 
   Committee committee_;
   ProcessId pid_;

@@ -1,6 +1,8 @@
 // Unit tests: vertex serialization, DAG store, reachability, causal history.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dag/dag.hpp"
 #include "dag/vertex.hpp"
 
@@ -156,17 +158,23 @@ TEST_F(DagTest, CausalHistorySkipPrunesSubtrees) {
   for (const VertexId& id : no_genesis) EXPECT_GE(id.round, 1u);
 }
 
-TEST_F(DagTest, MergeClosureMatchesCausalHistory) {
+TEST_F(DagTest, PathAgreesWithCausalHistory) {
   fill_round(1, {0, 1, 2});
   fill_round(2, {1, 2, 3});
-  Bitset closure;
-  dag_.merge_closure_into(VertexId{1, 2}, closure);
   const auto hist =
       dag_.causal_history(VertexId{1, 2}, [](VertexId) { return false; });
-  EXPECT_EQ(closure.count(), hist.size());
-  for (const VertexId& id : hist) {
-    EXPECT_TRUE(closure.test(id.round * 4 + id.source));
+  std::size_t reachable = 0;
+  for (Round r = 0; r <= 2; ++r) {
+    for (ProcessId s = 0; s < 4; ++s) {
+      const VertexId id{s, r};
+      const bool in_hist =
+          std::find(hist.begin(), hist.end(), id) != hist.end();
+      const bool reached = dag_.path(VertexId{1, 2}, id);
+      EXPECT_EQ(reached, in_hist) << "{" << s << "," << r << "}";
+      if (reached) ++reachable;
+    }
   }
+  EXPECT_EQ(reachable, hist.size());
 }
 
 TEST_F(DagTest, DuplicateInsertAborts) {
@@ -177,24 +185,6 @@ TEST_F(DagTest, DuplicateInsertAborts) {
 TEST_F(DagTest, InsertWithMissingPredecessorAborts) {
   EXPECT_DEATH(dag_.insert(make_vertex(0, 2, {0, 1, 2})),
                "strong predecessor missing");
-}
-
-TEST(Bitset, SetTestOrCount) {
-  Bitset a, b;
-  a.set(3);
-  a.set(100);
-  EXPECT_TRUE(a.test(3));
-  EXPECT_FALSE(a.test(4));
-  EXPECT_TRUE(a.test(100));
-  EXPECT_EQ(a.count(), 2u);
-  b.set(64);
-  b.or_with(a);
-  EXPECT_TRUE(b.test(3) && b.test(64) && b.test(100));
-  EXPECT_EQ(b.count(), 3u);
-  // or_with a larger set grows the smaller one.
-  Bitset c;
-  c.or_with(b);
-  EXPECT_EQ(c.count(), 3u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/audit.hpp"
 #include "core/system.hpp"
 #include "sim/network.hpp"
 
@@ -267,7 +268,7 @@ TEST(DagRiderValidity, EveryABcastBlockIsDelivered) {
 TEST(DagRiderValidity, ChainQualityMeetsBound) {
   // With f silent Byzantine processes the ordered prefix is 100% correct-
   // sourced; with f *active* Byzantine (equivocators whose winning variant
-  // still lands), quality must stay >= (f+1)/(2f+1).
+  // still lands), every (2f+1)r prefix must hold >= (f+1)r correct blocks.
   SystemConfig cfg = base_config(1, 42);
   cfg.rbc_kind = rbc::RbcKind::kBracha;
   cfg.faults.assign(cfg.committee.n, FaultKind::kNone);
@@ -275,9 +276,9 @@ TEST(DagRiderValidity, ChainQualityMeetsBound) {
   System sys(std::move(cfg));
   sys.start();
   ASSERT_TRUE(sys.run_until_delivered(30));
-  const double quality = chain_quality(sys);
-  const double bound = 2.0 / 3.0;  // (f+1)/(2f+1) with f=1
-  EXPECT_GE(quality, bound - 0.05);
+  const ChainQuality cq = audit_chain_quality(
+      correct_logs(sys), sys.committee(), sys.correct_ids());
+  EXPECT_FALSE(cq.violation.has_value()) << *cq.violation;
   ASSERT_NE(sys.node(1).byzantine(), nullptr);
   EXPECT_GT(sys.node(1).byzantine()->attacks(), 0u);
 }

@@ -37,7 +37,7 @@ TEST(DagGc, SafetyHoldsWithAggressiveGc) {
 }
 
 TEST(DagGc, MemoryStaysBoundedOverLongRun) {
-  auto bitset_words_after = [](Round gc_depth, std::uint64_t deliveries) {
+  auto retained_bytes_after = [](Round gc_depth, std::uint64_t deliveries) {
     SystemConfig cfg;
     cfg.committee = Committee::for_f(1);
     cfg.seed = 21;
@@ -48,14 +48,14 @@ TEST(DagGc, MemoryStaysBoundedOverLongRun) {
     System sys(std::move(cfg));
     sys.start();
     EXPECT_TRUE(sys.run_until_delivered(deliveries));
-    return sys.node(0).builder().dag().allocated_bitset_words();
+    return sys.node(0).builder().dag().retained_bytes();
   };
 
-  // Without GC, bitset memory grows superlinearly with run length; with GC
-  // it plateaus. Compare a short and a 4x longer run.
-  const std::size_t gc_short = bitset_words_after(12, 100);
-  const std::size_t gc_long = bitset_words_after(12, 400);
-  const std::size_t nogc_long = bitset_words_after(0, 400);
+  // Without GC, retained blocks, edges and wire buffers grow linearly with
+  // run length; with GC they plateau. Compare a short and a 4x longer run.
+  const std::size_t gc_short = retained_bytes_after(12, 100);
+  const std::size_t gc_long = retained_bytes_after(12, 400);
+  const std::size_t nogc_long = retained_bytes_after(0, 400);
   EXPECT_LT(gc_long, gc_short * 3) << "GC'd memory should plateau";
   EXPECT_LT(gc_long * 5, nogc_long) << "GC should beat no-GC by a wide margin";
 }
@@ -74,10 +74,10 @@ TEST(DagGc, CompactedRegionQueriesAreSafe) {
       d.insert(std::move(v));
     }
   }
-  const std::size_t words_before = d.allocated_bitset_words();
+  const std::size_t bytes_before = d.retained_bytes();
   d.compact_below(6);
   EXPECT_EQ(d.compacted_floor(), 6u);
-  EXPECT_LT(d.allocated_bitset_words(), words_before);
+  EXPECT_LT(d.retained_bytes(), bytes_before);
 
   // Compacted vertices still exist but their payloads are gone.
   ASSERT_TRUE(d.contains(dag::VertexId{0, 3}));
@@ -163,36 +163,6 @@ TEST(DagGc, HeldBackFloorDoesNotRedeliver) {
   EXPECT_FALSE(violation.has_value()) << *violation;
   EXPECT_TRUE(prefix_consistent(sys));
   EXPECT_EQ(sys.node(0).builder().gc_floor(), 1u) << "the cap did not hold";
-}
-
-TEST(DagGc, BitsetTruncation) {
-  dag::Bitset b;
-  for (std::size_t i = 0; i < 500; i += 7) b.set(i);
-  const std::size_t count_before = b.count();
-  b.truncate_below_word(3);  // drop bits < 192
-  EXPECT_FALSE(b.test(7));
-  EXPECT_FALSE(b.test(189));
-  EXPECT_TRUE(b.test(196));  // 196 = 7*28 >= 192
-  EXPECT_LT(b.count(), count_before);
-  // set/test below the truncation point are inert, not fatal.
-  b.set(10);
-  EXPECT_FALSE(b.test(10));
-
-  // or_with across different offsets.
-  dag::Bitset fresh;
-  fresh.set(200);
-  fresh.or_with(b);
-  EXPECT_TRUE(fresh.test(196));
-  EXPECT_TRUE(fresh.test(200));
-
-  dag::Bitset truncated_more = b;
-  truncated_more.truncate_below_word(5);
-  dag::Bitset acc;
-  acc.set(1);  // offset 0
-  acc.or_with(truncated_more);
-  EXPECT_TRUE(acc.test(1));
-  EXPECT_FALSE(acc.test(196));  // 196 < word 5 boundary (320): dropped
-  EXPECT_TRUE(acc.test(322) == truncated_more.test(322));
 }
 
 }  // namespace
