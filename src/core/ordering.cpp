@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace dr::core {
 
@@ -273,8 +272,6 @@ void BullsharkRider::on_wave_outcome(Wave w, bool committed) {
       consecutive_misses_ >= kBullsharkMissThreshold) {
     mode_ = Mode::kFallback;
     ++fallback_entries_;
-    DR_LOG_TRACE("bullshark: %llu consecutive anchor misses, fallback mode",
-                 static_cast<unsigned long long>(consecutive_misses_));
   }
 }
 

@@ -34,8 +34,8 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed) {
                                                cfg_.committee);
 
   // Mark faults on the network before any traffic flows: crash silences a
-  // process entirely; silent/equivocating processes count as corrupted for
-  // the adversary budget and the honest-bytes accounting.
+  // process entirely; every other fault counts as corrupted for the
+  // adversary budget and the honest-bytes accounting.
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
     if (faults_[pid] == FaultKind::kCrash) {
       net_->crash(pid);
@@ -46,14 +46,17 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed) {
 
   nodes_.reserve(cfg_.committee.n);
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
-    // The only fault that changes a process's own code is equivocation;
-    // crash, silent and stealthy are played by the harness around an
-    // honest stack.
+    // Equivocate and mute run the runtime's Byzantine profiles; crash and
+    // stealthy are played by the harness around an honest stack.
+    ByzantineProfile byzantine = ByzantineProfile::kHonest;
+    if (faults_[pid] == FaultKind::kEquivocate) {
+      byzantine = ByzantineProfile::kEquivocate;
+    } else if (faults_[pid] == FaultKind::kMute) {
+      byzantine = ByzantineProfile::kMute;
+    }
     StackOptions opts{
         .rbc_kind = cfg_.rbc_kind,
-        .byzantine = faults_[pid] == FaultKind::kEquivocate
-                         ? ByzantineProfile::kEquivocate
-                         : ByzantineProfile::kHonest,
+        .byzantine = byzantine,
         .coin_mode = cfg_.coin_mode,
         .ordering = cfg_.ordering,
         .bullshark = cfg_.bullshark,
@@ -70,12 +73,7 @@ System::~System() = default;
 
 void System::start() {
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
-    // Crashed processes never run; silent ones only service others' RBC
-    // instances (their components are wired but propose nothing).
-    if (faults_[pid] == FaultKind::kCrash || faults_[pid] == FaultKind::kSilent) {
-      continue;
-    }
-    nodes_[pid]->builder().start();
+    if (faults_[pid] != FaultKind::kCrash) nodes_[pid]->builder().start();
   }
 }
 

@@ -22,7 +22,8 @@ namespace dr::core {
 enum class FaultKind {
   kNone,
   kCrash,       ///< sends and receives nothing, ever
-  kSilent,      ///< participates in others' broadcasts but proposes nothing
+  kMute,        ///< runs ByzantineProfile::kMute: serves others' broadcasts
+                ///< but withholds every own one
   kEquivocate,  ///< runs ByzantineProfile::kEquivocate (Bracha RBC only;
                 ///< reliable broadcast must defuse it)
   kStealthy,    ///< behaves exactly like a correct process but counts as
@@ -70,8 +71,8 @@ class Node {
   const std::vector<CommitRecord>& commits() const { return commits_; }
 
   /// Application-level delivery hook, invoked after the harness records the
-  /// delivery. Lets applications (state machines, mempools, workload
-  /// generators) consume block contents without replacing the bookkeeping.
+  /// delivery. Lets an application (bank_smr's state machine) consume block
+  /// contents without replacing the bookkeeping.
   using AppDeliverFn = std::function<void(const Bytes& block, Round r, ProcessId source)>;
   void set_app_deliver(AppDeliverFn fn) { app_deliver_ = std::move(fn); }
 
@@ -87,7 +88,7 @@ class System {
   explicit System(SystemConfig cfg);
   ~System();
 
-  /// Starts all non-faulty (and equivocating) processes.
+  /// Starts every process but the crashed ones.
   void start();
 
   sim::Simulator& simulator() { return sim_; }

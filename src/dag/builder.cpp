@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace dr::dag {
 
@@ -115,9 +114,6 @@ void DagBuilder::finish_restore() {
     }
   }
   stats_.restored_vertices += dag_.vertex_count() - before;
-  DR_LOG_TRACE("p%u restored %llu vertices, resuming at round %llu", pid_,
-               static_cast<unsigned long long>(dag_.vertex_count() - before),
-               static_cast<unsigned long long>(round_));
 }
 
 void DagBuilder::sync_deliver(ProcessId source, Round r, net::Payload payload) {
@@ -344,9 +340,6 @@ void DagBuilder::propose(Round r) {
                 v.source == pid_,
             "own vertex must reference a full strong-edge quorum (Alg. 2 "
             "line 19)");
-  DR_LOG_TRACE("p%u broadcasts vertex round=%llu strong=%zu weak=%zu", pid_,
-               static_cast<unsigned long long>(r), v.strong_edges.size(),
-               v.weak_edges.size());
   const net::Payload payload(v.serialize());
   // Persist-before-send: once these bytes can reach any peer, they are on
   // disk — a restart can only ever re-send them, never contradict them.

@@ -15,12 +15,6 @@ crypto::Digest tx_digest(const txpool::Transaction& tx) {
   return crypto::sha256(BytesView(w.bytes()));
 }
 
-Mempool::Mempool(MempoolOptions opts)
-    : capacity_(opts.capacity),
-      busy_threshold_(std::max<std::size_t>(
-          1, static_cast<std::size_t>(static_cast<double>(opts.capacity) *
-                                      opts.busy_watermark))) {}
-
 SubmitStatus Mempool::submit(txpool::Transaction tx, TxOrigin origin) {
   if (tx.payload.size() > kMaxTxBytes) {
     std::lock_guard<std::mutex> lk(mu_);
@@ -53,13 +47,9 @@ SubmitStatus Mempool::submit(txpool::Transaction tx, TxOrigin origin) {
     ++stats_.rejected_dup_pending;
     return SubmitStatus::kDuplicatePending;
   }
-  if (pending_.size() >= busy_threshold_) {
+  if (pending_.size() >= kMaxPending) {
     ++stats_.rejected_busy;
     return SubmitStatus::kBusy;
-  }
-  if (pending_.size() >= capacity_) {
-    ++stats_.rejected_overflow;
-    return SubmitStatus::kShardFull;
   }
   fifo_.push_back(digest);
   pending_.emplace(digest, PendingTx{std::move(tx), origin});
@@ -170,8 +160,6 @@ std::size_t Mempool::in_flight() const {
   std::lock_guard<std::mutex> lk(mu_);
   return in_flight_.size();
 }
-
-bool Mempool::busy() const { return pending() >= busy_threshold_; }
 
 MempoolStats Mempool::stats() const {
   std::lock_guard<std::mutex> lk(mu_);

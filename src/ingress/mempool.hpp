@@ -1,9 +1,8 @@
-// The one mempool of both drivers (DESIGN.md §13): one mutex over one
-// pending FIFO, one in-flight map and one recently-committed window, so
-// blocks drain oldest-first on the simulator and the runtime alike. On the
-// runtime two kinds of thread touch it: submitters (the ingress I/O thread,
-// callers of Node::submit_tx) and the node thread, which drains proposals
-// and marks delivered blocks committed.
+// The node runtime's mempool (DESIGN.md §13): one mutex over one pending
+// FIFO, one in-flight map and one recently-committed window, so blocks
+// drain oldest-first. Two kinds of thread touch it: submitters (the ingress
+// I/O thread, callers of Node::submit_tx) and the node thread, which drains
+// proposals and marks delivered blocks committed.
 //
 // Identity is the tx digest — sha256 over (id, payload), excluding the
 // server-stamped submit_time so a client resubmitting the same logical tx
@@ -14,7 +13,7 @@
 //   window so replays after commit don't double-enter the DAG).
 //
 // The block-level steps (drain_block, commit_block, restore_block) are the
-// only place a tx block is encoded or decoded on either driver's path.
+// only place a tx block is encoded or decoded on the node's path.
 #pragma once
 
 #include <cstring>
@@ -59,14 +58,10 @@ struct CommittedTx {
 /// re-accepted (DESIGN.md §13).
 inline constexpr std::size_t kCommittedWindow = 1 << 16;
 
-struct MempoolOptions {
-  /// Hard bound on pending txs; beyond it submit() returns kShardFull
-  /// (backpressure, not silent drops).
-  std::size_t capacity = 131'072;
-  /// Fraction of capacity above which admission turns kBusy — the explicit
-  /// "DagBuilder is behind" signal, softer than kShardFull.
-  double busy_watermark = 0.75;
-};
+/// Pending txs at which submit() turns kBusy — the explicit "DagBuilder is
+/// behind" backpressure signal (clients back off; nothing is dropped). The
+/// one admission bound: kShardFull stays on the wire but is never sent.
+inline constexpr std::size_t kMaxPending = 98'304;
 
 /// Monotonic counters, snapshot via stats().
 struct MempoolStats {
@@ -74,7 +69,6 @@ struct MempoolStats {
   std::uint64_t rejected_busy = 0;
   std::uint64_t rejected_dup_pending = 0;
   std::uint64_t rejected_dup_committed = 0;
-  std::uint64_t rejected_overflow = 0;
   std::uint64_t rejected_too_large = 0;
   std::uint64_t drained = 0;
   std::uint64_t committed_with_origin = 0;  ///< commits that owned a session
@@ -87,13 +81,13 @@ struct MempoolStats {
 
 class Mempool {
  public:
-  explicit Mempool(MempoolOptions opts = {});
+  Mempool() = default;
 
   Mempool(const Mempool&) = delete;
   Mempool& operator=(const Mempool&) = delete;
 
   /// Full admission pipeline: size gate, committed-window dedup,
-  /// pending/in-flight dedup, busy watermark, capacity. On
+  /// pending/in-flight dedup, the kMaxPending bound. On
   /// kDuplicatePending from the *same* (client_id, tx_id) — a reconnecting
   /// client resubmitting — the stored origin's session is re-homed to the
   /// new session so the eventual ack follows the client.
@@ -135,8 +129,6 @@ class Mempool {
 
   std::size_t pending() const;
   std::size_t in_flight() const;
-  /// The admission signal: pending load at/above the busy watermark.
-  bool busy() const;
 
   MempoolStats stats() const;
 
@@ -157,9 +149,6 @@ class Mempool {
 
   /// mark_committed() with mu_ already held.
   std::optional<TxOrigin> mark_committed_locked(const crypto::Digest& digest);
-
-  const std::size_t capacity_;
-  const std::size_t busy_threshold_;
 
   mutable std::mutex mu_;
   /// FIFO of pending digests; entries whose digest left `pending_` (e.g.

@@ -58,10 +58,10 @@ Expected<ServerHello> decode_server_hello(BytesView data);
 /// contract) and the client must not expect a CommitAck for that tx.
 enum class SubmitStatus : std::uint8_t {
   kAccepted = 0,
-  kBusy = 1,                ///< admission watermark hit: retry later
+  kBusy = 1,                ///< mempool at kMaxPending: retry later
   kDuplicatePending = 2,    ///< same digest already pending / proposed
   kDuplicateCommitted = 3,  ///< same digest in the recently-committed window
-  kShardFull = 4,           ///< mempool at hard capacity (v1 wire name)
+  kShardFull = 4,           ///< v1 wire value; no longer sent
   kTooLarge = 5,            ///< payload above kMaxTxBytes
 };
 inline constexpr std::uint8_t kSubmitStatusCount = 6;

@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "metrics/table.hpp"
-
 namespace dr::metrics {
 
 using Counter = std::pair<std::string, std::uint64_t>;
@@ -46,15 +44,6 @@ inline Counters aggregate(const std::vector<Counters>& per_node) {
     }
   }
   return out;
-}
-
-/// Renders counters as a two-column table for bench/example output.
-inline Table counters_table(const Counters& counters) {
-  Table t({"counter", "value"});
-  for (const Counter& c : counters) {
-    t.add_row({c.first, Table::fmt_u64(c.second)});
-  }
-  return t;
 }
 
 }  // namespace dr::metrics

@@ -12,7 +12,6 @@
 #include <cstring>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace dr::net {
 
@@ -221,7 +220,6 @@ void TcpTransport::writer_loop(OutLink& link) {
   {
     std::lock_guard<std::mutex> lk(link.mu);
     if (fd < 0) {
-      DR_LOG_INFO("tcp p%u: could not reach peer %u", pid_, link.peer);
       link.closed = true;
       return;
     }
@@ -261,7 +259,6 @@ void TcpTransport::writer_loop(OutLink& link) {
     for (OutFrame& frame : batch) {
       if (!writev_frame(fd, frame.header.data(), frame.header.size(),
                         frame.payload.data(), frame.payload.size())) {
-        DR_LOG_INFO("tcp p%u: link to %u died mid-write", pid_, link.peer);
         close_link();
         return;
       }
@@ -312,8 +309,6 @@ void TcpTransport::reader_loop(std::size_t idx, int fd) {
     // Wrong version / wrong committee / forged id: refuse the link. Closing
     // is the whole error protocol — the dialer sees EOF and gives up.
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    DR_LOG_INFO("tcp p%u: rejected handshake (%s)", pid_,
-                hs.ok() ? "committee/pid mismatch" : hs.error().c_str());
     close_reader();
     return;
   }
@@ -334,8 +329,6 @@ void TcpTransport::reader_loop(std::size_t idx, int fd) {
         // A frame must carry its link owner's id; anything else is a bug or
         // an impersonation attempt.
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        DR_LOG_INFO("tcp p%u: frame source %u on link owned by %u", pid_,
-                    frame->from, peer);
         close_reader();
         return;
       }
@@ -343,8 +336,6 @@ void TcpTransport::reader_loop(std::size_t idx, int fd) {
     }
     if (decoder.dead()) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      DR_LOG_INFO("tcp p%u: framing violation from %u: %s", pid_, peer,
-                  decoder.error().c_str());
       break;
     }
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace dr::node {
 

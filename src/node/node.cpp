@@ -323,7 +323,6 @@ metrics::Counters Node::counters() const {
   out.emplace_back("mempool.rejected_dup_pending", m.rejected_dup_pending);
   out.emplace_back("mempool.rejected_dup_committed",
                    m.rejected_dup_committed);
-  out.emplace_back("mempool.rejected_overflow", m.rejected_overflow);
   out.emplace_back("mempool.rejected_too_large", m.rejected_too_large);
   out.emplace_back("mempool.drained", m.drained);
   out.emplace_back("mempool.committed_with_origin", m.committed_with_origin);

@@ -21,7 +21,6 @@ std::uint64_t Simulator::run(std::uint64_t max_events) {
     if (is_cancelled(ev.seq)) continue;
     ev.fn();
     ++count;
-    ++executed_;
   }
   return count;
 }
@@ -37,7 +36,6 @@ bool Simulator::run_until(const std::function<bool()>& done,
     if (is_cancelled(ev.seq)) continue;
     ev.fn();
     ++count;
-    ++executed_;
     if (done()) return true;
   }
   return false;

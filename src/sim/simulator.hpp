@@ -43,7 +43,6 @@ class Simulator {
                  std::uint64_t max_events = UINT64_MAX);
 
   bool idle() const { return queue_.empty(); }
-  std::uint64_t events_executed() const { return executed_; }
 
  private:
   struct Event {
@@ -60,7 +59,6 @@ class Simulator {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::vector<std::uint64_t> cancelled_;
   Xoshiro256 rng_;

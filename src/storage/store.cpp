@@ -6,7 +6,6 @@
 #include <filesystem>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace dr::storage {
 
@@ -91,8 +90,6 @@ RecoverResult VertexStore::recover() {
       // A snapshot that fails its CRC or belongs to another process is
       // useless AND marks the WAL as untrustworthy (it may have been
       // compacted against that snapshot's floor): restart empty.
-      DR_LOG_INFO("p%u: discarding unusable snapshot (%s)", pid_,
-                  snap.ok() ? "foreign committee/pid" : snap.error().c_str());
       result.wal_clean = false;
       result.wal_error = "snapshot unusable; storage reset";
       open_wal_for_append(/*write_header=*/true);
@@ -199,7 +196,6 @@ void VertexStore::compact(const Snapshot& snap, const dag::Dag& dag) {
     it = stale ? pending_proposals_.erase(it) : std::next(it);
   }
   const std::string wal_tmp = wal_path() + ".tmp";
-  std::uint64_t kept = 0;
   {
     std::FILE* f = std::fopen(wal_tmp.c_str(), "wb");
     DR_ASSERT_MSG(f != nullptr, "cannot open WAL temp file");
@@ -217,7 +213,6 @@ void VertexStore::compact(const Snapshot& snap, const dag::Dag& dag) {
         rec.payload = v->wire_payload().to_bytes();
         const Bytes encoded = encode_wal_record(rec);
         write_all(f, BytesView(encoded));
-        ++kept;
       }
     }
     for (const auto& [r, payload] : pending_proposals_) {
@@ -237,9 +232,6 @@ void VertexStore::compact(const Snapshot& snap, const dag::Dag& dag) {
   std::filesystem::rename(wal_tmp, wal_path());
   open_wal_for_append(/*write_header=*/false);
   ++stats_.compactions;
-  DR_LOG_TRACE("p%u WAL compacted at floor=%llu kept=%llu", pid_,
-               static_cast<unsigned long long>(snap.gc_floor),
-               static_cast<unsigned long long>(kept));
 }
 
 }  // namespace dr::storage

@@ -158,18 +158,21 @@ TEST(DagRiderFaults, ProgressWithFCrashed) {
   check_safety(sys);
 }
 
-TEST(DagRiderFaults, ProgressWithSilentProcesses) {
+TEST(DagRiderFaults, ProgressWithMuteProcesses) {
   SystemConfig cfg = base_config(1, 22);
   cfg.faults.assign(cfg.committee.n, FaultKind::kNone);
-  cfg.faults[0] = FaultKind::kSilent;  // echoes others, proposes nothing
+  cfg.faults[0] = FaultKind::kMute;  // echoes others, withholds its own
   System sys(std::move(cfg));
   sys.start();
   ASSERT_TRUE(sys.run_until_delivered(30));
   check_safety(sys);
-  // The silent process's blocks never appear.
+  // The mute process's blocks never appear.
   for (const DeliveredRecord& r : sys.node(1).delivered()) {
     EXPECT_NE(r.source, 0u);
   }
+  // Non-vacuous: the mute process really withheld broadcasts.
+  ASSERT_NE(sys.node(0).byzantine(), nullptr);
+  EXPECT_GT(sys.node(0).byzantine()->attacks(), 0u);
 }
 
 TEST(DagRiderFaults, EquivocatorCannotBreakAgreement) {

@@ -124,7 +124,7 @@ TEST(Fuzz, ProtocolChannelsSurviveGarbageSpray) {
   cfg.builder.auto_blocks = true;
   cfg.builder.auto_block_size = 8;
   cfg.faults.assign(4, core::FaultKind::kNone);
-  cfg.faults[3] = core::FaultKind::kSilent;  // our garbage cannon
+  cfg.faults[3] = core::FaultKind::kMute;  // our garbage cannon
   core::System sys(std::move(cfg));
   sys.start();
 

@@ -258,27 +258,25 @@ TEST(Mempool, ReturnsOriginOnCommitAndRehomesOnResubmit) {
 }
 
 TEST(Mempool, BusyWatermarkThenCapacity) {
-  Mempool pool(MempoolOptions{.capacity = 128, .busy_watermark = 0.5});
-
-  std::uint64_t accepted = 0, id = 0;
-  while (accepted < 64) {
-    if (pool.submit(make_tx(1, id++), TxOrigin{}) == SubmitStatus::kAccepted) {
+  // One bound: at kMaxPending pending txs admission turns kBusy (the
+  // "DagBuilder is behind" signal); nothing is admitted past it.
+  Mempool pool;
+  std::uint64_t accepted = 0;
+  for (std::uint64_t i = 0; i < kMaxPending; ++i) {
+    if (pool.submit(make_tx(1, i), TxOrigin{}) == SubmitStatus::kAccepted) {
       ++accepted;
     }
   }
-  EXPECT_EQ(pool.submit(make_tx(1, id), TxOrigin{}), SubmitStatus::kBusy);
-  EXPECT_TRUE(pool.busy());
-  EXPECT_GE(pool.stats().rejected_busy, 1u);
+  EXPECT_EQ(accepted, kMaxPending);
+  EXPECT_EQ(pool.submit(make_tx(1, kMaxPending), TxOrigin{}),
+            SubmitStatus::kBusy);
+  EXPECT_EQ(pool.stats().rejected_busy, 1u);
+  EXPECT_EQ(pool.pending(), kMaxPending);
 
-  // The hard capacity bound is kShardFull, distinguishable from kBusy:
-  // reachable with a watermark above 1.0 (disabled) and a tiny pool.
-  Mempool small(MempoolOptions{.capacity = 4, .busy_watermark = 10.0});
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(small.submit(make_tx(2, i), TxOrigin{}),
-              SubmitStatus::kAccepted);
-  }
-  EXPECT_EQ(small.submit(make_tx(2, 99), TxOrigin{}),
-            SubmitStatus::kShardFull);
+  // Draining below the bound reopens admission.
+  ASSERT_TRUE(pool.drain_block(1).has_value());
+  EXPECT_EQ(pool.submit(make_tx(1, kMaxPending), TxOrigin{}),
+            SubmitStatus::kAccepted);
 }
 
 TEST(Mempool, RejectsOversizedAndBoundsCommittedWindow) {

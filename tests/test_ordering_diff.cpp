@@ -74,8 +74,8 @@ std::vector<FaultKind> make_faults(std::uint64_t seed, std::uint32_t n) {
         faults[n - 1 - i] = FaultKind::kCrash;
       }
       break;
-    default:  // one silent proposer (plus a crash when f >= 2)
-      faults[0] = FaultKind::kSilent;
+    default:  // one mute proposer (plus a crash when f >= 2)
+      faults[0] = FaultKind::kMute;
       if (f >= 2) faults[n - 1] = FaultKind::kCrash;
       break;
   }

@@ -20,7 +20,7 @@ struct Scenario {
   std::uint32_t f;
   rbc::RbcKind rbc;
   CoinMode coin;
-  int fault_mix;  // 0 none, 1 crash f, 2 silent 1, 3 mixed
+  int fault_mix;  // 0 none, 1 crash f, 2 mute 1, 3 mixed
   const char* name;
 };
 
@@ -106,11 +106,11 @@ TEST_P(PropertySweep, InvariantsHold) {
       }
       break;
     case 2:
-      cfg.faults[0] = FaultKind::kSilent;
+      cfg.faults[0] = FaultKind::kMute;
       break;
     case 3:
       cfg.faults[cfg.committee.n - 1] = FaultKind::kCrash;
-      if (sc.f >= 2) cfg.faults[0] = FaultKind::kSilent;
+      if (sc.f >= 2) cfg.faults[0] = FaultKind::kMute;
       break;
     default:
       break;

@@ -1,10 +1,8 @@
-// Tests: transaction blocks, the mempool's block-level FIFO semantics, and
-// the end-to-end client workload (submit -> batch -> BAB -> latency
-// accounting). The admission pipeline is covered by the Mempool tests in
+// Tests: transaction blocks and the mempool's block-level FIFO semantics.
+// The admission pipeline is covered by the Mempool tests in
 // test_ingress.cpp.
 #include <gtest/gtest.h>
 
-#include "app/client_swarm.hpp"
 #include "ingress/mempool.hpp"
 #include "txpool/transaction.hpp"
 
@@ -50,7 +48,6 @@ TEST(TxBlock, RejectsForeignBytes) {
   EXPECT_FALSE(decode_block(block).ok());
 }
 
-using ingress::MempoolOptions;
 using ingress::SubmitStatus;
 using ingress::TxOrigin;
 
@@ -79,15 +76,6 @@ TEST(Mempool, FifoBatchingAndDedup) {
   EXPECT_EQ(pool.pending(), 6u);
 }
 
-TEST(Mempool, OverflowBackpressure) {
-  ingress::Mempool pool(MempoolOptions{.capacity = 3, .busy_watermark = 10.0});
-  for (std::uint64_t i = 1; i <= 3; ++i) {
-    EXPECT_EQ(pool.submit(make_tx(i), TxOrigin{}), SubmitStatus::kAccepted);
-  }
-  EXPECT_EQ(pool.submit(make_tx(4), TxOrigin{}), SubmitStatus::kShardFull);
-  EXPECT_EQ(pool.stats().rejected_overflow, 1u);
-}
-
 TEST(Mempool, DeliveredTransactionsAreNotReproposed) {
   ingress::Mempool pool;
   for (std::uint64_t i = 1; i <= 6; ++i) {
@@ -109,59 +97,6 @@ TEST(Mempool, EmptyPoolYieldsEmptyBlock) {
   ASSERT_EQ(pool.submit(make_tx(1), TxOrigin{}), SubmitStatus::kAccepted);
   (void)pool.commit_block(encode_block({make_tx(1)}));
   EXPECT_FALSE(pool.drain_block(5).has_value());  // everything delivered
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end workload over the full stack.
-
-TEST(ClientSwarm, TransactionsCommitWithMeasuredLatency) {
-  core::SystemConfig cfg;
-  cfg.committee = Committee::for_f(1);
-  cfg.seed = 17;
-  cfg.rbc_kind = rbc::RbcKind::kBracha;
-  cfg.builder.auto_blocks = true;  // pad rounds when pools run dry
-  cfg.builder.auto_block_size = 0;
-  core::System sys(std::move(cfg));
-
-  app::WorkloadConfig wl;
-  wl.tx_per_tick = 0.2;
-  wl.tx_payload = 32;
-  wl.batch_max = 16;
-  app::ClientSwarm swarm(sys, wl, 5);
-  sys.start();
-  swarm.start();
-
-  ASSERT_TRUE(sys.simulator().run_until(
-      [&] { return swarm.committed() >= 100; }, 30'000'000));
-  EXPECT_GE(swarm.submitted(), swarm.committed());
-  EXPECT_EQ(swarm.latency().count(), swarm.committed());
-  EXPECT_GT(swarm.latency().mean(), 0.0);
-  // Sanity: p95 latency is some small multiple of a wave.
-  EXPECT_LT(swarm.latency().percentile(0.95), 30'000.0);
-}
-
-TEST(ClientSwarm, RedundantSubmissionCommitsOnceDespiteCrash) {
-  core::SystemConfig cfg;
-  cfg.committee = Committee::for_f(1);
-  cfg.seed = 18;
-  cfg.rbc_kind = rbc::RbcKind::kOracle;
-  cfg.builder.auto_blocks = true;
-  cfg.builder.auto_block_size = 0;
-  cfg.faults.assign(4, core::FaultKind::kNone);
-  cfg.faults[3] = core::FaultKind::kCrash;
-  core::System sys(std::move(cfg));
-
-  app::WorkloadConfig wl;
-  wl.tx_per_tick = 0.1;
-  wl.submit_copies = 2;  // each tx lands at 2 processes
-  app::ClientSwarm swarm(sys, wl, 6);
-  sys.start();
-  swarm.start();
-  ASSERT_TRUE(sys.simulator().run_until(
-      [&] { return swarm.committed() >= 50; }, 30'000'000));
-  // Unique commits never exceed submissions (no double counting of the
-  // redundant copy).
-  EXPECT_LE(swarm.committed(), swarm.submitted());
 }
 
 }  // namespace
