@@ -31,13 +31,13 @@ cmake --build build -j "$(nproc)"
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
+# Run the benches whose sources are in the tree, not whatever a reused build
+# tree still holds: a bench deleted from bench/ leaves its old binary behind.
 : > bench_output.txt
-for b in build/bench/*; do
-  if [ -x "$b" ] && [ -f "$b" ]; then
-    name="$(basename "$b")"
-    echo "### $name" | tee -a bench_output.txt
-    "$b" $SMOKE --json "BENCH_${name}.json" 2>&1 | tee -a bench_output.txt
-    echo | tee -a bench_output.txt
-  fi
+for src in bench/bench_*.cpp; do
+  name="$(basename "$src" .cpp)"
+  echo "### $name" | tee -a bench_output.txt
+  "build/bench/$name" $SMOKE --json "BENCH_${name}.json" 2>&1 | tee -a bench_output.txt
+  echo | tee -a bench_output.txt
 done
 echo "done: see test_output.txt, bench_output.txt, and BENCH_*.json"

@@ -59,7 +59,7 @@ struct Committee {
   return Committee::for_n(n).small_quorum();
 }
 
-/// Number of rounds per wave (the paper fixes 4; ablations vary it).
+/// Number of rounds per wave (the paper fixes 4).
 inline constexpr Round kRoundsPerWave = 4;
 
 /// k-th round of wave w, k in [1..4]: round(w, k) = 4(w-1) + k.

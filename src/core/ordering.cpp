@@ -25,7 +25,7 @@ std::optional<OrderingKind> parse_ordering(std::string_view name) {
 }
 
 Round ordering_rounds_per_wave(OrderingKind kind) {
-  return kind == OrderingKind::kBullshark ? 2 : 0;
+  return kind == OrderingKind::kBullshark ? 2 : kRoundsPerWave;
 }
 
 OrderingRule::OrderingRule(dag::DagBuilder& builder, coin::Coin& coin)
@@ -87,7 +87,7 @@ void OrderingRule::process_ready_waves() {
 
 std::optional<VertexId> OrderingRule::wave_leader_vertex(
     Wave w, ProcessId leader) const {
-  const Round r1 = wave_round(w, 1, builder_.options().rounds_per_wave);
+  const Round r1 = wave_round(w, 1, builder_.rounds_per_wave());
   const VertexId id{leader, r1};
   if (builder_.dag().contains(id)) return id;
   return std::nullopt;  // ⊥: leader vertex not (yet) in the local DAG
@@ -95,7 +95,7 @@ std::optional<VertexId> OrderingRule::wave_leader_vertex(
 
 void OrderingRule::handle_wave(Wave w, ProcessId leader_process) {
   const dag::Dag& dag = builder_.dag();
-  const Round rpw = builder_.options().rounds_per_wave;
+  const Round rpw = builder_.rounds_per_wave();
   ++waves_evaluated_;
 
   // Alg. 3 lines 35-37, threshold per personality: candidate vertex present
@@ -156,7 +156,7 @@ void OrderingRule::handle_wave(Wave w, ProcessId leader_process) {
 
 Round OrderingRule::floor_of(Wave w) const {
   if (gc_depth_rounds_ == 0 || w == 0) return 0;
-  const Round r1 = wave_round(w, 1, builder_.options().rounds_per_wave);
+  const Round r1 = wave_round(w, 1, builder_.rounds_per_wave());
   return r1 > gc_depth_rounds_ + 1 ? r1 - gc_depth_rounds_ : 0;
 }
 
@@ -224,9 +224,9 @@ std::uint32_t DagRider::commit_threshold(Wave) const {
 BullsharkRider::BullsharkRider(dag::DagBuilder& builder, coin::Coin& coin,
                                BullsharkOptions opts)
     : OrderingRule(builder, coin), opts_(std::move(opts)) {
-  DR_ASSERT_MSG(builder.options().rounds_per_wave == 2,
+  DR_ASSERT_MSG(builder.rounds_per_wave() == 2,
                 "Bullshark's commit rule is defined over 2-round waves "
-                "(force via ordering_rounds_per_wave)");
+                "(build via ordering_rounds_per_wave)");
 }
 
 ProcessId BullsharkRider::anchor_of(Wave w) const {

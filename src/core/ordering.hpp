@@ -78,10 +78,9 @@ enum class OrderingKind : std::uint8_t {
 const char* to_string(OrderingKind kind);
 std::optional<OrderingKind> parse_ordering(std::string_view name);
 
-/// Wave geometry the personality's commit rule requires: core::ProcessStack
-/// forces the builder's rounds_per_wave to this before wiring. 0 = no
-/// requirement (DagRider commits at whatever geometry is configured — the
-/// ablation bench varies it); Bullshark's rule is defined over 2-round waves.
+/// Wave geometry the personality's commit rule is defined over — DagRider's
+/// 4-round waves (Alg. 3), Bullshark's 2-round waves. core::ProcessStack
+/// builds the DAG builder with it; nothing else sets the wave length.
 Round ordering_rounds_per_wave(OrderingKind kind);
 
 /// Every kBullsharkFallbackStride-th Bullshark wave is an asynchronous
@@ -255,7 +254,7 @@ class DagRider final : public OrderingRule {
 /// all correct processes in agreement on every wave's candidate.
 class BullsharkRider final : public OrderingRule {
  public:
-  /// Requires builder.options().rounds_per_wave == 2 (callers force it via
+  /// Requires builder.rounds_per_wave() == 2 (callers build it via
   /// ordering_rounds_per_wave).
   BullsharkRider(dag::DagBuilder& builder, coin::Coin& coin,
                  BullsharkOptions opts = {});

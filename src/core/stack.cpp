@@ -9,12 +9,6 @@ ProcessStack::ProcessStack(net::Bus& bus, ProcessId pid, StackOptions opts,
                            const coin::CoinDealer* dealer,
                            OrderingRule::DeliverFn deliver,
                            OrderingRule::CommitFn on_commit) {
-  // The personality owns the wave geometry: Bullshark's commit rule is
-  // defined over 2-round waves, so its choice overrides the builder knob.
-  if (const Round rpw = ordering_rounds_per_wave(opts.ordering)) {
-    opts.builder.rounds_per_wave = rpw;
-  }
-
   rbc_ = rbc::make_factory(opts.rbc_kind)(bus, pid, opts.seed);
   if (opts.byzantine != ByzantineProfile::kHonest) {
     DR_ASSERT_MSG(opts.byzantine == ByzantineProfile::kMute ||
@@ -44,8 +38,10 @@ ProcessStack::ProcessStack(net::Bus& bus, ProcessId pid, StackOptions opts,
     }
   }
 
-  builder_ = std::make_unique<dag::DagBuilder>(bus.committee(), pid, *rbc_,
-                                               opts.builder);
+  // The personality owns the wave geometry.
+  builder_ = std::make_unique<dag::DagBuilder>(
+      bus.committee(), pid, *rbc_, opts.builder,
+      ordering_rounds_per_wave(opts.ordering));
   if (opts.coin_mode == CoinMode::kPiggyback) {
     builder_->enable_coin_piggyback(
         [threshold_coin](Wave w) { return threshold_coin->share_to_embed(w); },

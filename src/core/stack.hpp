@@ -32,7 +32,6 @@ struct StackOptions {
   CoinMode coin_mode = CoinMode::kThreshold;
   OrderingKind ordering = OrderingKind::kDagRider;
   BullsharkOptions bullshark{};
-  /// The personality's wave geometry overrides rounds_per_wave here.
   dag::BuilderOptions builder;
   /// 0 disables GC (the paper's unbounded semantics).
   Round gc_depth_rounds = 0;

@@ -37,11 +37,11 @@ struct SystemConfig {
   std::uint64_t seed = 1;
   rbc::RbcKind rbc_kind = rbc::RbcKind::kBracha;
   CoinMode coin_mode = CoinMode::kThreshold;
-  /// Which commit rule orders the DAG (DESIGN.md §14). kBullshark forces
-  /// builder.rounds_per_wave to 2 (its wave geometry).
+  /// Which commit rule orders the DAG (DESIGN.md §14); it also fixes the
+  /// wave geometry (4 rounds per wave, 2 under kBullshark).
   OrderingKind ordering = OrderingKind::kDagRider;
   BullsharkOptions bullshark{};
-  /// Rounds per wave / weak-edge ablation knobs.
+  /// Every process's DAG builder settings.
   dag::BuilderOptions builder{.auto_blocks = true, .auto_block_size = 64};
   /// DAG garbage-collection window in rounds; 0 disables GC (the paper's
   /// unbounded semantics). See DagRider::enable_gc for the trade-off.

@@ -8,16 +8,18 @@
 namespace dr::dag {
 
 DagBuilder::DagBuilder(Committee committee, ProcessId pid,
-                       rbc::ReliableBroadcast& rbc, BuilderOptions options)
+                       rbc::ReliableBroadcast& rbc, BuilderOptions options,
+                       Round rounds_per_wave)
     : committee_(committee),
       pid_(pid),
       rbc_(rbc),
       options_(options),
+      rounds_per_wave_(rounds_per_wave),
       dag_(committee),
       buffered_per_source_(committee.n, 0),
       last_round_from_(committee.n, 0) {
   DR_ASSERT(pid < committee.n);
-  DR_ASSERT(options_.rounds_per_wave >= 1);
+  DR_ASSERT(rounds_per_wave_ >= 1);
   rbc_.set_deliver([this](ProcessId source, Round r, net::Payload payload) {
     on_deliver(source, r, std::move(payload));
   });
@@ -106,8 +108,8 @@ void DagBuilder::finish_restore() {
     // its commit decisions deterministically — but broadcast nothing: these
     // rounds' proposals were sent in a previous life or were never ours.
     while (dag_.round_size(round_) >= committee_.quorum()) {
-      if (round_ % options_.rounds_per_wave == 0 && round_ > 0 && wave_ready_) {
-        wave_ready_(round_ / options_.rounds_per_wave);
+      if (round_ % rounds_per_wave_ == 0 && round_ > 0 && wave_ready_) {
+        wave_ready_(round_ / rounds_per_wave_);
       }
       round_ += 1;
       progress = true;
@@ -185,8 +187,8 @@ void DagBuilder::on_deliver(ProcessId source, Round r, net::Payload payload,
 
   // Piggybacked coin share: the vertex opening round 4w+1 may carry its
   // sender's share for wave w (paper footnote 1).
-  if (v.has_coin_share && coin_sink_ && v.round % options_.rounds_per_wave == 1) {
-    const Wave w = (v.round - 1) / options_.rounds_per_wave;
+  if (v.has_coin_share && coin_sink_ && v.round % rounds_per_wave_ == 1) {
+    const Wave w = (v.round - 1) / rounds_per_wave_;
     if (w >= 1) coin_sink_(source, w, v.coin_share);
   }
 
@@ -305,8 +307,8 @@ void DagBuilder::pump() {
 }
 
 void DagBuilder::advance_round() {
-  if (round_ % options_.rounds_per_wave == 0 && round_ > 0 && wave_ready_) {
-    wave_ready_(round_ / options_.rounds_per_wave);  // Alg. 2 line 12
+  if (round_ % rounds_per_wave_ == 0 && round_ > 0 && wave_ready_) {
+    wave_ready_(round_ / rounds_per_wave_);  // Alg. 2 line 12
   }
   // Round ordering (Alg. 2 lines 8-10): a correct process broadcasts exactly
   // one vertex per round and only after seeing 2f+1 vertices in the current
@@ -361,8 +363,8 @@ Vertex DagBuilder::create_new_vertex(Round r) {
   v.strong_edges = dag_.round_sources(r - 1);  // Alg. 2 line 19
   // Alg. 2 lines 27-31: a weak edge to every older vertex not yet reachable.
   if (options_.weak_edges) v.weak_edges = dag_.weak_edge_targets(r);
-  if (coin_provider_ && r % options_.rounds_per_wave == 1) {
-    const Wave w = (r - 1) / options_.rounds_per_wave;
+  if (coin_provider_ && r % rounds_per_wave_ == 1) {
+    const Wave w = (r - 1) / rounds_per_wave_;
     if (w >= 1) {
       v.coin_share = coin_provider_(w);
       v.has_coin_share = true;

@@ -27,8 +27,6 @@
 namespace dr::dag {
 
 struct BuilderOptions {
-  /// Rounds per wave (the paper's 4; the ablation bench varies it).
-  Round rounds_per_wave = kRoundsPerWave;
   /// If true, an empty blocksToPropose queue never stalls round advancement:
   /// a synthetic block of `auto_block_size` bytes is proposed instead. This
   /// realizes the paper's "each process atomically broadcasts infinitely
@@ -36,7 +34,8 @@ struct BuilderOptions {
   bool auto_blocks = false;
   std::size_t auto_block_size = 0;
   /// If false, no weak edges are emitted — an ablation that knocks out the
-  /// Validity property (DESIGN.md experiment ABL).
+  /// Validity property (tests Builder.AblationNoWeakEdgesProducesNone and
+  /// DagRiderAblation.NoWeakEdgesStarvesSlowProcess).
   bool weak_edges = true;
   /// When > 0: at advancement time, if the local DAG already holds a 2f+1
   /// quorum in each of the next `lag_skip_threshold` rounds, this process is
@@ -99,8 +98,12 @@ class DagBuilder {
   using CoinShareProviderFn = std::function<std::uint64_t(Wave)>;
   using CoinShareSinkFn = std::function<void(ProcessId, Wave, std::uint64_t)>;
 
+  /// `rounds_per_wave` is the ordering personality's wave geometry
+  /// (core::ordering_rounds_per_wave); the builder fires wave_ready at its
+  /// multiples.
   DagBuilder(Committee committee, ProcessId pid, rbc::ReliableBroadcast& rbc,
-             BuilderOptions options = {});
+             BuilderOptions options = {},
+             Round rounds_per_wave = kRoundsPerWave);
 
   void set_wave_ready(WaveReadyFn fn) { wave_ready_ = std::move(fn); }
   void set_vertex_added(VertexAddedFn fn) { vertex_added_ = std::move(fn); }
@@ -155,7 +158,7 @@ class DagBuilder {
   /// Deliveries rejected because the sender exceeded its buffer quota.
   std::uint64_t quota_rejections() const { return stats_.quota_rejections; }
   const BuilderStats& stats() const { return stats_; }
-  const BuilderOptions& options() const { return options_; }
+  Round rounds_per_wave() const { return rounds_per_wave_; }
 
   /// Structural validation of a delivered vertex (Alg. 2 line 25 plus
   /// hygiene). Exposed for tests and for Byzantine-input fuzzing.
@@ -209,6 +212,7 @@ class DagBuilder {
   ProcessId pid_;
   rbc::ReliableBroadcast& rbc_;
   BuilderOptions options_;
+  Round rounds_per_wave_;
   Dag dag_;
   Round round_ = 0;
   Round highest_seen_round_ = 0;

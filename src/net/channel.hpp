@@ -20,7 +20,7 @@ enum class Channel : std::uint32_t {
   kDumbo = 6,
   kOracle = 7,
   kApp = 8,
-  kBba = 9,
+  // 9 is reserved: the wire value of the retired binary-agreement channel.
   /// Catch-up sync (DESIGN.md §10): VertexRequest/VertexResponse exchanges
   /// between a lagging node and its peers. Off the critical path — losing or
   /// reordering sync frames only delays catch-up, never safety.

@@ -168,7 +168,7 @@ void Node::recover_from_store() {
     // log written under one must not seed the other (DESIGN.md §14).
     DR_ASSERT_MSG(
         snap.ordering == static_cast<std::uint8_t>(opts_.ordering) &&
-            snap.rounds_per_wave == builder_->options().rounds_per_wave,
+            snap.rounds_per_wave == builder_->rounds_per_wave(),
                   "snapshot written under a different ordering personality");
     floor = snap.gc_floor;
     // The rider drops ids below its own ordering floor, which it re-derives
@@ -235,7 +235,7 @@ void Node::maybe_compact() {
   snap.gc_floor = floor;
   snap.decided_wave = rider_->decided_wave();
   snap.ordering = static_cast<std::uint8_t>(opts_.ordering);
-  snap.rounds_per_wave = builder_->options().rounds_per_wave;
+  snap.rounds_per_wave = builder_->rounds_per_wave();
   {
     std::lock_guard<std::mutex> lk(log_mu_);
     snap.delivered = delivered_;

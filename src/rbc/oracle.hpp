@@ -3,9 +3,9 @@
 // by construction (even a Byzantine *sender* cannot equivocate because the
 // payload is sent once through a shared trusted path).
 //
-// Used to (a) unit-test the DAG and ordering layers in isolation from any
-// real broadcast protocol, and (b) provide a lower-bound cost baseline
-// (exactly n payload copies per broadcast) in ablation benches.
+// Used to unit-test the DAG and ordering layers, and to run the simulator
+// benches that measure ordering rather than broadcast cost, in isolation
+// from any real broadcast protocol (exactly n payload copies per broadcast).
 #pragma once
 
 #include <map>

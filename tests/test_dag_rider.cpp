@@ -243,6 +243,53 @@ TEST(DagRiderAdversary, FixedSlowSetStillFair) {
 }
 
 // ---------------------------------------------------------------------------
+// Coin unpredictability (§2), the premise of Claim 6's expected-waves bound:
+// leaders are drawn only after their wave completes, so an adversary that
+// can slow any process it likes still cannot aim at the next leader.
+
+/// Waves process 0 decides within 60,000 sim-time units while a
+/// TargetedDelay adversary slows chosen processes' traffic. The blind
+/// adversary slows process 0 throughout. The foresight adversary reads the
+/// oracle coin, which a model-compliant adversary cannot do, and slows the
+/// leaders of the wave being built and of the next one.
+Wave decided_waves_under_targeted_delay(std::uint64_t seed, bool foresight) {
+  SystemConfig cfg = base_config(1, seed);
+  cfg.coin_mode = CoinMode::kLocal;
+  cfg.builder.auto_block_size = 8;
+  auto delays = std::make_unique<sim::TargetedDelay>(/*fast=*/40, /*slow=*/2000);
+  sim::TargetedDelay* adversary = delays.get();
+  cfg.delays = std::move(delays);
+  System sys(std::move(cfg));
+  const auto& coin = dynamic_cast<const coin::LocalCoin&>(sys.node(0).coin());
+  sys.start();
+  if (!foresight) adversary->set_victims({0});
+  // A sim-time budget, not an event budget: the stalled run burns events
+  // building an ever-deeper uncommitted DAG.
+  while (sys.simulator().now() < 60'000 && !sys.simulator().idle()) {
+    sys.simulator().run(500);
+    if (foresight) {
+      Round top = 1;
+      for (ProcessId p : sys.correct_ids()) {
+        top = std::max(top, sys.node(p).builder().current_round());
+      }
+      const Wave w = wave_of_round(top);
+      adversary->set_victims({coin.leader_for(w), coin.leader_for(w + 1)});
+    }
+  }
+  return sys.node(0).rider().decided_wave();
+}
+
+TEST(DagRiderAdversary, CoinPredictingAdversaryStallsCommits) {
+  const Wave blind = decided_waves_under_targeted_delay(31337, false);
+  const Wave foresight = decided_waves_under_targeted_delay(31337, true);
+  // Seeds 1-1000 of this setup: blind 138-166 decided waves, foresight
+  // 12-54, and blind / foresight never below 2.76 (seed 31337: 157 vs 15).
+  EXPECT_GT(blind, 2 * foresight)
+      << "blind " << blind << " vs coin-predicting " << foresight
+      << " decided waves: slowing the upcoming leaders should stall commits";
+}
+
+// ---------------------------------------------------------------------------
 // Validity: explicitly a_bcast blocks must all be delivered.
 
 TEST(DagRiderValidity, EveryABcastBlockIsDelivered) {

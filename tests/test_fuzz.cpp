@@ -4,7 +4,6 @@
 // garbage (a Byzantine process can always spray junk).
 #include <gtest/gtest.h>
 
-#include "baselines/bba/binary_agreement.hpp"
 #include "baselines/vaba/vaba.hpp"
 #include "coin/dealer.hpp"
 #include "coin/threshold_coin.hpp"
@@ -154,8 +153,7 @@ TEST(Fuzz, BaselineChannelsSurviveGarbageSpray) {
   coin::CoinDealer dealer(7, c);
   std::vector<std::unique_ptr<coin::ThresholdCoin>> coins;
   std::vector<std::unique_ptr<baselines::Vaba>> vabas;
-  std::vector<std::unique_ptr<baselines::BinaryAgreement>> bbas;
-  std::vector<int> vaba_decided(4, 0), bba_decided(4, 0);
+  std::vector<int> vaba_decided(4, 0);
   for (ProcessId p = 0; p < 4; ++p) {
     coins.push_back(std::make_unique<coin::ThresholdCoin>(
         net, coin::ProcessCoinKey(&dealer, p)));
@@ -164,20 +162,14 @@ TEST(Fuzz, BaselineChannelsSurviveGarbageSpray) {
         [&vaba_decided, p](SlotId, ProcessId, const Bytes&) {
           vaba_decided[p] = 1;
         }));
-    bbas.push_back(std::make_unique<baselines::BinaryAgreement>(
-        net, p, *coins[p],
-        [&bba_decided, p](std::uint64_t, bool) { bba_decided[p] = 1; }));
   }
   net.corrupt(3);
   Xoshiro256 rng(8);
   for (ProcessId p = 0; p < 3; ++p) {
     vabas[p]->propose(1, Bytes(1, static_cast<std::uint8_t>(p)));
-    bbas[p]->propose(1, p % 2 == 0);
   }
   for (int i = 0; i < 200; ++i) {
     net.send(3, static_cast<ProcessId>(i % 3), sim::Channel::kVaba,
-             random_bytes(rng, 100));
-    net.send(3, static_cast<ProcessId>(i % 3), sim::Channel::kBba,
              random_bytes(rng, 100));
     net.send(3, static_cast<ProcessId>(i % 3), sim::Channel::kCoin,
              random_bytes(rng, 100));
@@ -185,7 +177,6 @@ TEST(Fuzz, BaselineChannelsSurviveGarbageSpray) {
   sim.run();
   for (ProcessId p = 0; p < 3; ++p) {
     EXPECT_EQ(vaba_decided[p], 1) << "vaba stalled at p" << p;
-    EXPECT_EQ(bba_decided[p], 1) << "bba stalled at p" << p;
   }
 }
 
