@@ -1,10 +1,19 @@
 // MICRO — google-benchmark microbenchmarks for the substrates: hashing
 // (dispatched vs forced-scalar), frame encoding, broadcast fan-out,
-// erasure coding, Merkle trees, Shamir, DAG insertion and reachability.
+// erasure coding, Merkle trees, Shamir, DAG insertion and reachability, and
+// Bracha's per-frame cost after many delivered instances.
+//
+// --smoke also runs the Bracha state gate: the per-frame time after 1M
+// delivered instances over the time after 10k must stay within
+// kBrachaRatioBound, or the program exits 1.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "crypto/merkle.hpp"
@@ -14,6 +23,7 @@
 #include "dag/dag.hpp"
 #include "net/frame.hpp"
 #include "net/payload.hpp"
+#include "rbc/bracha.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -294,6 +304,159 @@ void BM_DagCommitRuleSupport(benchmark::State& state) {
 }
 BENCHMARK(BM_DagCommitRuleSupport)->Arg(4)->Arg(10)->Arg(31);
 
+/// A bus for one Bracha process alone: frames are handed straight to its
+/// handler, and every frame it sends is dropped.
+class SinkBus final : public net::Bus {
+ public:
+  explicit SinkBus(Committee committee) : committee_(committee) {}
+  const Committee& committee() const override { return committee_; }
+  void subscribe(ProcessId, net::Channel, Handler handler) override {
+    handler_ = std::move(handler);
+  }
+  void send(ProcessId, ProcessId, net::Channel, net::Payload) override {}
+  void broadcast(ProcessId, net::Channel, net::Payload) override {}
+  void deliver(ProcessId from, const net::Payload& frame) { handler_(from, frame); }
+
+ private:
+  Committee committee_;
+  Handler handler_;
+};
+
+/// Process 0 of an n=4 Bracha committee that has already r_delivered
+/// `delivered` instances (rounds 1.. of every source, round-robin), fed by
+/// hand-built frames (the wire format of bracha.cpp).
+class BrachaFixture {
+ public:
+  explicit BrachaFixture(std::size_t delivered)
+      : bus_(Committee::for_n(kN)), rbc_(bus_, 0) {
+    rbc_.set_deliver([this](ProcessId, Round, const net::Payload&) { ++delivered_; });
+    // The cheapest path to a delivery: READYs from 2f+1 = 3 processes.
+    for (std::size_t k = 0; k < delivered; ++k) {
+      for (ProcessId from = 1; from < kN; ++from) {
+        bus_.deliver(from, frame(kReady, next_));
+      }
+      ++next_;
+    }
+  }
+
+  /// The 2n+1 = 9 frames of each of the next `instances` broadcasts, in a
+  /// correct run's order: SEND, then every ECHO, then every READY (the last
+  /// READY arrives after delivery).
+  std::vector<std::pair<ProcessId, net::Payload>> next_frames(std::size_t instances) {
+    std::vector<std::pair<ProcessId, net::Payload>> out;
+    out.reserve(instances * (2 * kN + 1));
+    for (std::size_t i = 0; i < instances; ++i, ++next_) {
+      out.emplace_back(source_of(next_), frame(kSend, next_));
+      for (std::uint8_t type : {kEcho, kReady}) {
+        for (ProcessId from = 0; from < kN; ++from) {
+          out.emplace_back(from, frame(type, next_));
+        }
+      }
+    }
+    return out;
+  }
+
+  void feed(const std::vector<std::pair<ProcessId, net::Payload>>& frames) {
+    for (const auto& [from, f] : frames) bus_.deliver(from, f);
+  }
+
+  std::uint64_t delivered() const { return delivered_; }
+  std::uint64_t instances() const { return next_; }
+
+ private:
+  static constexpr std::uint32_t kN = 4;
+  static constexpr std::uint8_t kSend = 1, kEcho = 2, kReady = 3;
+
+  static ProcessId source_of(std::uint64_t k) { return static_cast<ProcessId>(k % kN); }
+
+  /// Instance k is (k mod n, k / n + 1) with a 256-byte payload naming k.
+  static net::Payload frame(std::uint8_t type, std::uint64_t k) {
+    Bytes body(256, 0x5A);
+    for (std::size_t i = 0; i < 8; ++i) body[i] = static_cast<std::uint8_t>(k >> (8 * i));
+    ByteWriter w(body.size() + 20);
+    w.u8(type);
+    w.u32(source_of(k));
+    w.u64(k / kN + 1);
+    w.blob(body);
+    return std::move(w).take();
+  }
+
+  SinkBus bus_;
+  rbc::BrachaRbc rbc_;
+  std::uint64_t next_ = 0;
+  std::uint64_t delivered_ = 0;
+};
+
+/// One fixture per size, built once and shared by the benchmark and the
+/// smoke gate (prefilling a million instances is the slow part).
+BrachaFixture& bracha_fixture(std::size_t delivered) {
+  static std::map<std::size_t, std::unique_ptr<BrachaFixture>> cache;
+  auto& slot = cache[delivered];
+  if (!slot) slot = std::make_unique<BrachaFixture>(delivered);
+  return *slot;
+}
+
+constexpr std::size_t kBrachaBatch = 500;  // instances per timed batch
+
+/// Nanoseconds per Bracha frame over one batch of fresh instances.
+double bracha_ns_per_frame(BrachaFixture& fx) {
+  const auto frames = fx.next_frames(kBrachaBatch);
+  const auto start = std::chrono::steady_clock::now();
+  fx.feed(frames);
+  const std::chrono::duration<double, std::nano> took =
+      std::chrono::steady_clock::now() - start;
+  return took.count() / static_cast<double>(frames.size());
+}
+
+/// Per-frame cost with `range(0)` instances already delivered. A fixed,
+/// small iteration count keeps the batches from adding many more.
+void BM_BrachaFrame(benchmark::State& state) {
+  BrachaFixture& fx = bracha_fixture(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    const auto frames = fx.next_frames(kBrachaBatch);
+    state.ResumeTiming();
+    fx.feed(frames);
+    benchmark::DoNotOptimize(fx.delivered());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBrachaBatch * 9));
+}
+BENCHMARK(BM_BrachaFrame)->Arg(10'000)->Arg(1'000'000)->Iterations(8);
+
+/// Bound on (ns/frame after 1M delivered) / (ns/frame after 10k), set from
+/// a sweep of this gate against the ordered-map instance table it replaced
+/// (see CHANGES.md).
+constexpr double kBrachaRatioBound = 1.4;
+
+/// The smoke gate: medians of alternating batches at both sizes. Returns the
+/// process exit code.
+int bracha_state_gate() {
+  constexpr int kReps = 9;
+  BrachaFixture& small = bracha_fixture(10'000);
+  BrachaFixture& large = bracha_fixture(1'000'000);
+  std::vector<double> at_small, at_large;
+  for (int i = 0; i < kReps; ++i) {
+    at_small.push_back(bracha_ns_per_frame(small));
+    at_large.push_back(bracha_ns_per_frame(large));
+  }
+  const auto median = [](std::vector<double> v) {
+    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+    std::nth_element(v.begin(), mid, v.end());
+    return *mid;
+  };
+  const double ratio = median(at_large) / median(at_small);
+  const bool all_delivered = small.delivered() == small.instances() &&
+                             large.delivered() == large.instances();
+  const bool ok = all_delivered && ratio <= kBrachaRatioBound;
+  std::printf("bracha state gate: %.1f ns/frame after 10k delivered, %.1f after "
+              "1M, ratio %.2f (bound %.2f)%s -> %s\n",
+              median(at_small), median(at_large), ratio, kBrachaRatioBound,
+              all_delivered ? "" : ", an instance did not deliver",
+              ok ? "PASS" : "BREACH");
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 }  // namespace dr
 
@@ -303,12 +466,14 @@ int main(int argc, char** argv) {
   std::vector<std::string> args;
   args.reserve(static_cast<std::size_t>(argc) + 2);
   args.emplace_back(argv[0]);
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--json" && i + 1 < argc) {
       args.push_back(std::string("--benchmark_out=") + argv[++i]);
       args.emplace_back("--benchmark_out_format=json");
     } else if (a == "--smoke") {
+      smoke = true;
       args.emplace_back("--benchmark_min_time=0.005");
     } else {
       args.push_back(a);
@@ -322,5 +487,5 @@ int main(int argc, char** argv) {
   if (::benchmark::ReportUnrecognizedArguments(cargc, cargv.data())) return 1;
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
-  return 0;
+  return smoke ? dr::bracha_state_gate() : 0;
 }

@@ -11,7 +11,58 @@ constexpr std::size_t kPayloadOffset = 1 + 4 + 8 + 4;
 
 }  // namespace
 
-BrachaRbc::BrachaRbc(net::Bus& net, ProcessId pid) : net_(net), pid_(pid) {
+void BrachaRbc::VoteSet::add(ProcessId p) {
+  std::uint64_t* word = &low_;
+  if (p >= 64) {
+    const std::size_t i = p / 64 - 1;
+    if (high_.size() <= i) high_.resize(i + 1, 0);
+    word = &high_[i];
+  }
+  const std::uint64_t bit = std::uint64_t{1} << (p % 64);
+  if ((*word & bit) == 0) {
+    *word |= bit;
+    ++count_;
+  }
+}
+
+bool BrachaRbc::DeliveredRounds::contains(Round r) const {
+  if (r >= base_ && (r - base_) / 64 < bits_.size() &&
+      ((bits_[(r - base_) / 64] >> (r % 64)) & 1) != 0) {
+    return true;
+  }
+  // A far round stays in far_ even after the bitmap grows over it.
+  return !far_.empty() && far_.count(r) != 0;
+}
+
+void BrachaRbc::DeliveredRounds::insert(Round r) {
+  const Round word_start = r - r % 64;
+  if (bits_.empty()) {
+    base_ = word_start;
+    bits_.push_back(0);
+  } else if (r < base_) {
+    const Round grow = (base_ - word_start) / 64;
+    if (grow > kReachWords) {
+      far_.insert(r);
+      return;
+    }
+    bits_.insert(bits_.begin(), grow, 0);
+    base_ = word_start;
+  } else {
+    // Word indices, not round bounds: base_ + 64 * size may overflow.
+    const Round word = (r - base_) / 64;
+    if (word >= bits_.size()) {
+      if (word - bits_.size() >= kReachWords) {
+        far_.insert(r);
+        return;
+      }
+      bits_.resize(word + 1, 0);
+    }
+  }
+  bits_[(r - base_) / 64] |= std::uint64_t{1} << (r % 64);
+}
+
+BrachaRbc::BrachaRbc(net::Bus& net, ProcessId pid)
+    : net_(net), pid_(pid), delivered_(net.n()) {
   net_.subscribe(pid_, net::Channel::kBracha,
                  [this](ProcessId from, const net::Payload& msg) {
                    on_message(from, msg);
@@ -46,10 +97,12 @@ void BrachaRbc::on_message(ProcessId from, const net::Payload& msg) {
   // so a Byzantine process cannot forge someone else's broadcast.
   if (type == kSend && from != source) return;
   if (type != kSend && type != kEcho && type != kReady) return;
+  // Integrity: a late or replayed frame of a delivered instance (including
+  // a restarted peer's re-sends) stops here, before it touches any state.
+  if (delivered_[source].contains(round)) return;
 
-  const InstanceKey key{source, round};
-  Instance& inst = instances_[key];
-  if (inst.delivered) return;
+  const auto it = instances_.try_emplace(InstanceKey{source, round}).first;
+  Instance& inst = it->second;
 
   // Classify this message's payload against the variants already tracked by
   // raw byte comparison before falling back to hashing: equal bytes imply an
@@ -57,25 +110,29 @@ void BrachaRbc::on_message(ProcessId from, const net::Payload& msg) {
   // and READY of an instance carries the same bytes — so the 2n+1 messages
   // of one well-behaved broadcast cost one SHA-256, not 2n+1.
   const BytesView body{msg.data() + kPayloadOffset, len};
-  PerPayload* pp = nullptr;
-  crypto::Digest digest;
-  for (auto& [d, cand] : inst.by_digest) {
-    if (cand.have_payload && cand.payload.size() == len &&
+  Variant* variant = nullptr;
+  for (Variant& cand : inst.variants) {
+    if (cand.payload.size() == len &&
         std::equal(body.begin(), body.end(), cand.payload.view().begin())) {
-      digest = d;
-      pp = &cand;
+      variant = &cand;
       break;
     }
   }
-  if (pp == nullptr) {
+  if (variant == nullptr) {
     // First time this byte pattern is seen: hash it once, via a window that
-    // shares the message buffer (no copy) and memoizes the digest.
+    // shares the message buffer (no copy) and memoizes the digest. Votes are
+    // counted per digest, so a variant with this digest takes them.
     net::Payload window = msg.window(kPayloadOffset, len);
-    digest = window.digest();
-    pp = &inst.by_digest[digest];
-    if (!pp->have_payload) {
-      pp->payload = std::move(window);
-      pp->have_payload = true;
+    const crypto::Digest& digest = window.digest();
+    for (Variant& cand : inst.variants) {
+      if (cand.payload.digest() == digest) {
+        variant = &cand;
+        break;
+      }
+    }
+    if (variant == nullptr) {
+      variant = &inst.variants.emplace_back();
+      variant->payload = std::move(window);
     }
   }
 
@@ -84,44 +141,45 @@ void BrachaRbc::on_message(ProcessId from, const net::Payload& msg) {
       if (!inst.echoed) {
         inst.echoed = true;
         net_.broadcast(pid_, net::Channel::kBracha,
-                       encode(kEcho, source, round, pp->payload.view()));
+                       encode(kEcho, source, round, variant->payload.view()));
       }
       break;
     }
     case kEcho: {
-      pp->echoes.insert(from);
+      variant->echoes.add(from);
       break;
     }
     case kReady: {
-      pp->readies.insert(from);
+      variant->readies.add(from);
       break;
     }
     default:
       return;
   }
-  maybe_progress(key, digest);
+  maybe_progress(it, *variant);
 }
 
-void BrachaRbc::maybe_progress(const InstanceKey& key, const crypto::Digest& digest) {
-  Instance& inst = instances_[key];
-  PerPayload& pp = inst.by_digest[digest];
+void BrachaRbc::maybe_progress(Instances::iterator it, Variant& variant) {
+  Instance& inst = it->second;
+  const InstanceKey key = it->first;
   const std::uint32_t quorum = net_.committee().quorum();
   const std::uint32_t small = net_.committee().small_quorum();
 
   const bool ready_trigger =
-      pp.echoes.size() >= quorum || pp.readies.size() >= small;
-  if (ready_trigger && !inst.readied && pp.have_payload) {
+      variant.echoes.count() >= quorum || variant.readies.count() >= small;
+  if (ready_trigger && !inst.readied) {
     inst.readied = true;
     net_.broadcast(pid_, net::Channel::kBracha,
-                   encode(kReady, key.source, key.round, pp.payload.view()));
+                   encode(kReady, key.source, key.round, variant.payload.view()));
   }
-  if (pp.readies.size() >= quorum && pp.have_payload && !inst.delivered) {
-    inst.delivered = true;
+  if (variant.readies.count() >= quorum) {
+    // Free the instance and keep only its tombstone; `inst` and `variant`
+    // dangle from here on.
+    net::Payload payload = std::move(variant.payload);
+    instances_.erase(it);
+    delivered_[key.source].insert(key.round);
     contract_on_deliver(key.source, key.round);
-    if (deliver_) deliver_(key.source, key.round, pp.payload);
-    // Keep the instance so late messages are ignored (Integrity), but free
-    // the bulky per-payload state.
-    inst.by_digest.clear();
+    if (deliver_) deliver_(key.source, key.round, std::move(payload));
   }
 }
 

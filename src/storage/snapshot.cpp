@@ -2,11 +2,23 @@
 
 #include <algorithm>
 
+#include "common/assert.hpp"
 #include "storage/wal.hpp"
 
 namespace dr::storage {
 
+const char* snapshot_count_error(std::uint64_t delivered, std::uint64_t commits) {
+  if (delivered > kMaxSnapshotDelivered) {
+    return "snapshot delivered count implausible";
+  }
+  if (commits > kMaxSnapshotCommits) return "snapshot commit count implausible";
+  return nullptr;
+}
+
 Bytes encode_snapshot(const Snapshot& snap) {
+  const char* error =
+      snapshot_count_error(snap.delivered.size(), snap.commits.size());
+  DR_ASSERT_MSG(error == nullptr, error);
   ByteWriter w;
   w.u32(kSnapMagic);
   w.u16(kSnapVersion);
@@ -63,8 +75,9 @@ Expected<Snapshot> decode_snapshot(BytesView data) {
     snap.rounds_per_wave = in.u64();
   }
   const std::uint32_t n_delivered = in.u32();
-  if (!in.ok() || n_delivered > kMaxSnapshotDelivered) {
-    return Fail::failure("snapshot delivered count implausible");
+  if (!in.ok()) return Fail::failure("snapshot truncated or oversized");
+  if (const char* error = snapshot_count_error(n_delivered, 0)) {
+    return Fail::failure(error);
   }
   snap.delivered.reserve(n_delivered);
   for (std::uint32_t i = 0; i < n_delivered && in.ok(); ++i) {
@@ -80,8 +93,9 @@ Expected<Snapshot> decode_snapshot(BytesView data) {
     snap.delivered.push_back(rec);
   }
   const std::uint32_t n_commits = in.u32();
-  if (!in.ok() || n_commits > kMaxSnapshotCommits) {
-    return Fail::failure("snapshot commit count implausible");
+  if (!in.ok()) return Fail::failure("snapshot truncated or oversized");
+  if (const char* error = snapshot_count_error(0, n_commits)) {
+    return Fail::failure(error);
   }
   snap.commits.reserve(n_commits);
   for (std::uint32_t i = 0; i < n_commits && in.ok(); ++i) {

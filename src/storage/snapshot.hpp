@@ -43,6 +43,12 @@ struct Snapshot {
   std::vector<core::CommitRecord> commits;
 };
 
+/// Why a snapshot holding this many records could not be restored (a count
+/// above its cap), or nullptr if it can. decode_snapshot rejects such a
+/// snapshot, and encode_snapshot aborts on one rather than write it, so a
+/// node never writes a snapshot it cannot read back.
+const char* snapshot_count_error(std::uint64_t delivered, std::uint64_t commits);
+
 Bytes encode_snapshot(const Snapshot& snap);
 
 /// Rejects short input, wrong magic/version, count fields beyond the caps,

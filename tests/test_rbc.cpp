@@ -119,17 +119,31 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// Committees above 64 keep Bracha's vote bitmasks in more than one word.
+INSTANTIATE_TEST_SUITE_P(
+    BrachaMultiWord, RbcParam,
+    ::testing::Combine(::testing::Values(RbcKind::kBracha),
+                       ::testing::Values(67u)),
+    [](const auto& info) {
+      return "bracha_n" + std::to_string(std::get<1>(info.param));
+    });
+
 // ---------------------------------------------------------------------------
 // Byzantine sender scenarios (deterministic RBCs must defuse them).
 
-/// Crafts a Bracha SEND message (format mirrored from bracha.cpp).
-Bytes bracha_send(ProcessId source, Round r, const Bytes& payload) {
+/// Crafts a Bracha message (format mirrored from bracha.cpp).
+enum BrachaType : std::uint8_t { kSend = 1, kEcho = 2, kReady = 3 };
+Bytes bracha_frame(BrachaType type, ProcessId source, Round r,
+                   const Bytes& payload) {
   ByteWriter w;
-  w.u8(1);
+  w.u8(type);
   w.u32(source);
   w.u64(r);
   w.blob(payload);
   return std::move(w).take();
+}
+Bytes bracha_send(ProcessId source, Round r, const Bytes& payload) {
+  return bracha_frame(kSend, source, r, payload);
 }
 
 TEST(BrachaByzantine, EquivocatingSenderCannotSplitDelivery) {
@@ -188,6 +202,168 @@ TEST(BrachaByzantine, MalformedMessagesAreDropped) {
   h.instance(1).broadcast(1, payload_of("normal traffic continues"));
   h.sim().run();
   EXPECT_NE(h.log(0).find(1, 1), nullptr);  // protocol unharmed
+}
+
+// ---------------------------------------------------------------------------
+// Bracha instance state: a delivered instance leaves only a tombstone.
+
+std::uint64_t messages_sent(RbcHarness& h) {
+  std::uint64_t total = 0;
+  for (ProcessId p = 0; p < h.committee().n; ++p) {
+    total += h.net().traffic(p).messages_sent;
+  }
+  return total;
+}
+
+BrachaRbc& bracha(RbcHarness& h, ProcessId p) {
+  return dynamic_cast<BrachaRbc&>(h.instance(p));
+}
+
+/// Sends `frame` from `from` to every process.
+void inject(RbcHarness& h, ProcessId from, const Bytes& frame) {
+  for (ProcessId to = 0; to < h.committee().n; ++to) {
+    h.net().send(from, to, sim::Channel::kBracha, Bytes(frame));
+  }
+}
+
+TEST(BrachaIntegrity, LateAndReplayedFramesAfterDeliveryAreDropped) {
+  const Committee c = Committee::for_f(1);
+  RbcHarness h(c, RbcKind::kBracha, 41);
+  const Bytes msg = payload_of("delivered once");
+  h.instance(0).broadcast(5, Bytes(msg));
+  h.sim().run();
+  for (ProcessId p = 0; p < c.n; ++p) {
+    ASSERT_EQ(h.log(p).count(0, 5), 1);
+    EXPECT_EQ(bracha(h, p).live_instances(), 0u);
+  }
+
+  // Every frame a late, replaying or equivocating peer could still send for
+  // (0, 5): the identical SEND, late ECHOs and READYs from every process,
+  // and a conflicting SEND backed by a full quorum of ECHOs and READYs.
+  const Bytes other = payload_of("conflicting payload");
+  const std::uint64_t before = messages_sent(h);
+  std::uint64_t injected = 0;
+  for (const Bytes* body : {&msg, &other}) {
+    inject(h, 0, bracha_frame(kSend, 0, 5, *body));
+    injected += c.n;
+    for (ProcessId from = 0; from < c.n; ++from) {
+      inject(h, from, bracha_frame(kEcho, 0, 5, *body));
+      inject(h, from, bracha_frame(kReady, 0, 5, *body));
+      injected += 2 * c.n;
+    }
+  }
+  h.sim().run();
+  EXPECT_EQ(messages_sent(h), before + injected) << "a dropped frame was answered";
+  for (ProcessId p = 0; p < c.n; ++p) {
+    EXPECT_EQ(h.log(p).count(0, 5), 1) << "process " << p;
+    EXPECT_EQ(h.log(p).find(0, 5)->payload, msg);
+    EXPECT_EQ(bracha(h, p).live_instances(), 0u);
+  }
+}
+
+TEST(BrachaIntegrity, FarRoundsDeliverOnceAndLowRoundsStillDeliver) {
+  // A Byzantine source broadcasts at rounds far outside any sane range, in
+  // both orders relative to its ordinary low rounds. Each instance delivers
+  // exactly once, and none costs more than O(1) tombstone state.
+  const Committee c = Committee::for_f(1);
+  const Round kFar = Round{1} << 40;
+  const Round kTop = ~Round{0};
+  const std::vector<std::vector<Round>> orders = {
+      {1, kFar, kTop, 2, 3}, {kFar, kTop, 1, 2, 3}};
+  for (const auto& order : orders) {
+    RbcHarness h(c, RbcKind::kBracha, 42);
+    h.net().corrupt(3);
+    for (Round r : order) {
+      const Bytes body = payload_of("byzantine");
+      inject(h, 3, bracha_send(3, r, body));
+      h.sim().run();
+      for (ProcessId p = 0; p < 3; ++p) {
+        EXPECT_EQ(h.log(p).count(3, r), 1) << "process " << p << " round " << r;
+      }
+      // Replays, and a conflicting payload, change nothing.
+      const std::uint64_t before = messages_sent(h);
+      inject(h, 3, bracha_send(3, r, body));
+      for (ProcessId from = 0; from < c.n; ++from) {
+        inject(h, from, bracha_frame(kReady, 3, r, payload_of("other")));
+      }
+      h.sim().run();
+      EXPECT_EQ(messages_sent(h), before + 5 * c.n);
+      for (ProcessId p = 0; p < 3; ++p) {
+        EXPECT_EQ(h.log(p).count(3, r), 1) << "process " << p << " round " << r;
+        EXPECT_EQ(bracha(h, p).live_instances(), 0u);
+      }
+    }
+  }
+}
+
+TEST(BrachaIntegrity, FarRoundStaysDeliveredAfterTheBitmapGrowsOverIt) {
+  // Round 5000 is delivered while it is too far above round 1 for the dense
+  // bitmap; later deliveries grow the bitmap over it. Its tombstone must
+  // still drop a conflicting quorum of READYs.
+  const Committee c = Committee::for_f(1);
+  RbcHarness h(c, RbcKind::kBracha, 43);
+  const Round rounds[] = {1, 5000, 4000, 4100, 5001};
+  for (Round r : rounds) {
+    h.instance(1).broadcast(r, payload_of("ordinary"));
+    h.sim().run();
+  }
+  const std::uint64_t before = messages_sent(h);
+  for (ProcessId from = 0; from < c.n; ++from) {
+    inject(h, from, bracha_frame(kReady, 1, 5000, payload_of("late twin")));
+  }
+  h.sim().run();
+  EXPECT_EQ(messages_sent(h), before + c.n * c.n);
+  for (ProcessId p = 0; p < c.n; ++p) {
+    EXPECT_EQ(h.log(p).count(1, 5000), 1) << "process " << p;
+  }
+}
+
+TEST(BrachaState, LiveInstancesBoundedByInFlightNotRunLength) {
+  // 1,000 rounds of all-correct broadcasts, pipelined: a new round starts
+  // every 10 time units while delays reach 50, so several rounds are in
+  // flight at once. Live state never exceeds the instances not yet
+  // delivered, and the run ends with none.
+  const Committee c = Committee::for_f(1);
+  RbcHarness h(c, RbcKind::kBracha, 44);
+  constexpr Round kRounds = 1000;
+  std::size_t peak = 0;
+  for (Round r = 1; r <= kRounds; ++r) {
+    for (ProcessId p = 0; p < c.n; ++p) {
+      ByteWriter w;
+      w.u64(r * 10 + p);
+      h.instance(p).broadcast(r, std::move(w).take());
+    }
+    const sim::SimTime until = h.sim().now() + 10;
+    h.sim().run_until([&] { return h.sim().now() >= until; });
+    for (ProcessId p = 0; p < c.n; ++p) {
+      const std::size_t in_flight = c.n * r - h.log(p).entries.size();
+      const std::size_t live = bracha(h, p).live_instances();
+      EXPECT_LE(live, in_flight) << "process " << p << " round " << r;
+      peak = std::max(peak, live);
+    }
+  }
+  h.sim().run();
+  for (ProcessId p = 0; p < c.n; ++p) {
+    EXPECT_EQ(h.log(p).entries.size(), c.n * kRounds);
+    EXPECT_EQ(bracha(h, p).live_instances(), 0u);
+  }
+  EXPECT_LT(peak, 100u) << "live state grew with the run of "
+                        << c.n * kRounds << " instances";
+}
+
+TEST(BrachaState, VotesOfProcessesAbove64Count) {
+  // n = 67 with f = 22 crashed among the low ids leaves exactly a quorum of
+  // 45 correct processes, three of them (64..66) in the second bitmask word:
+  // delivery needs every one of their votes.
+  const Committee c = Committee::for_n(67);
+  ASSERT_EQ(c.n - c.f, c.quorum());
+  RbcHarness h(c, RbcKind::kBracha, 45);
+  for (ProcessId p = 1; p <= c.f; ++p) h.net().crash(p);
+  h.instance(0).broadcast(1, payload_of("needs the high word"));
+  h.sim().run();
+  for (ProcessId p : h.correct_ids()) {
+    EXPECT_NE(h.log(p).find(0, 1), nullptr) << "process " << p;
+  }
 }
 
 TEST(AvidByzantine, InconsistentEncodingNeverDelivers) {

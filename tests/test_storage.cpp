@@ -203,6 +203,29 @@ TEST(Snapshot, AnySingleByteFlipIsRejected) {
   EXPECT_FALSE(decode_snapshot(BytesView{enc.data(), enc.size() - 1}).ok());
 }
 
+TEST(Snapshot, CountCapsAreSharedByEncodeAndDecode) {
+  // Exactly at the caps a snapshot is restorable; one record more is not.
+  EXPECT_EQ(snapshot_count_error(kMaxSnapshotDelivered, kMaxSnapshotCommits),
+            nullptr);
+  EXPECT_NE(snapshot_count_error(kMaxSnapshotDelivered + 1, 0), nullptr);
+  EXPECT_NE(snapshot_count_error(0, kMaxSnapshotCommits + 1), nullptr);
+  // A count that a u32 field would have truncated to a small one.
+  EXPECT_NE(snapshot_count_error((std::uint64_t{1} << 32) + 5, 0), nullptr);
+}
+
+TEST(SnapshotDeathTest, EncodeAbortsAboveTheCommitCap) {
+  // decode_snapshot would refuse this snapshot, so writing it must fail
+  // loudly instead of leaving a node that cannot restart. (~170 MB of
+  // records, allocated in the death test's child only.)
+  EXPECT_DEATH(
+      {
+        Snapshot s = sample_snapshot();
+        s.commits.resize(std::size_t{kMaxSnapshotCommits} + 1);
+        (void)encode_snapshot(s);
+      },
+      "commit count implausible");
+}
+
 // --- VertexStore file layer ---
 
 Vertex make_vertex(const Committee& c, ProcessId source, Round round,
