@@ -5,8 +5,8 @@
 // from the ordering personality (DESIGN.md §14). It submits open-loop at a
 // paced 10k tx/s (perfbench's rate) for a fixed window, drains until node 0
 // delivered every accepted tx, and passes core::audit_logs before its row
-// prints. The window is 6 s (perfbench's sub-run length: blocks/s decays
-// with run length while GC is off), 1 s under --smoke.
+// prints. The window is 6 s, perfbench's sub-run length, and 1 s under
+// --smoke.
 //
 // Latency is client-to-commit: submit stamps the transaction with node 0's
 // clock, and delivery at node 0 records the difference, so no cross-node

@@ -88,26 +88,26 @@ bool run_one(const Args& args, std::uint64_t seed, std::uint32_t n) {
   opts.timeout = std::chrono::minutes(3);
   opts.wal_dir = fresh_wal(args.wal_dir, seed, n);
   // Rotate the soak flavour by seed so one sweep covers plain chaos, churn
-  // (when durable), and every live Byzantine profile.
+  // (when durable), and every fault the runtime plays.
   if (!opts.wal_dir.empty() && seed % 3 == 1) opts.with_churn = true;
   switch (seed % 4) {
-    case 1: opts.byzantine = dr::core::ByzantineProfile::kEquivocate; break;
-    case 2: opts.byzantine = dr::core::ByzantineProfile::kMute; break;
-    case 3: opts.byzantine = dr::core::ByzantineProfile::kSelective; break;
+    case 1: opts.fault = dr::core::FaultKind::kEquivocate; break;
+    case 2: opts.fault = dr::core::FaultKind::kMute; break;
+    case 3: opts.fault = dr::core::FaultKind::kSelective; break;
     default: break;  // seed % 4 == 0: all honest
   }
   // A Byzantine node and churn at once would leave only f honest-and-up
   // nodes short of quorum windows; keep the two flavours separate.
-  if (opts.with_churn) opts.byzantine = dr::core::ByzantineProfile::kHonest;
+  if (opts.with_churn) opts.fault = dr::core::FaultKind::kNone;
   opts.with_ingress = args.ingress;
 
   const dr::node::SoakResult r = dr::node::run_chaos_soak(opts);
   if (r.ok) {
-    std::printf("ok   seed=%llu n=%u ordering=%s byz=%s churn=%s faults=%s\n",
-                static_cast<unsigned long long>(seed), n,
-                dr::core::to_string(opts.ordering), to_string(opts.byzantine),
-                opts.with_churn ? "yes" : "no",
-                r.plan.c_str());
+    std::printf("ok   %s", r.describe().c_str());
+    if (r.chain_quality) {
+      std::printf(" min_share=%.3f", r.chain_quality->min_share);
+    }
+    std::printf("\n");
     if (opts.with_ingress) {
       std::printf(
           "     ingress: submitted=%llu acked=%llu resubmitted=%llu "
@@ -125,8 +125,11 @@ bool run_one(const Args& args, std::uint64_t seed, std::uint32_t n) {
                     : !r.violation.empty()   ? "invariant violation"
                                              : "harness check failed";
   std::fprintf(stderr,
-               "     %s — replay with: chaos_soak --seed %llu --n %u%s%s\n",
+               "     %s — replay with: chaos_soak --seed %llu --n %u%s%s%s\n",
                why, static_cast<unsigned long long>(seed), n,
+               args.ordering == dr::core::OrderingKind::kBullshark
+                   ? " --ordering bullshark"
+                   : "",
                args.ingress ? " --ingress" : "",
                args.wal_dir.empty() ? "" : " --wal <dir>");
   return false;

@@ -38,7 +38,7 @@ Bytes mutate_vertex_payload(BytesView payload) {
 /// SEND messages (payload m and a mutated m') and sends one to each half of
 /// the committee. It otherwise participates in the Bracha protocol honestly
 /// (echoes, readies) through the wrapped instance, which is the strongest
-/// profile for this attack: the split quorum can only be resolved by other
+/// form of this attack: the split quorum can only be resolved by other
 /// processes' echoes.
 class EquivocatingBrachaRbc final : public ByzantineRbc {
  public:
@@ -115,31 +115,34 @@ class SelectiveRbc final : public ByzantineRbc {
 
 }  // namespace
 
-const char* to_string(ByzantineProfile p) {
-  switch (p) {
-    case ByzantineProfile::kHonest: return "honest";
-    case ByzantineProfile::kEquivocate: return "equivocate";
-    case ByzantineProfile::kMute: return "mute";
-    case ByzantineProfile::kSelective: return "selective";
+const char* to_string(FaultKind fault) {
+  switch (fault) {
+    case FaultKind::kNone: return "none";
+    case FaultKind::kCrash: return "crash";
+    case FaultKind::kMute: return "mute";
+    case FaultKind::kEquivocate: return "equivocate";
+    case FaultKind::kSelective: return "selective";
+    case FaultKind::kStealthy: return "stealthy";
   }
   return "?";
 }
 
+bool stack_plays(FaultKind fault) {
+  return fault == FaultKind::kMute || fault == FaultKind::kEquivocate ||
+         fault == FaultKind::kSelective;
+}
+
 std::unique_ptr<ByzantineRbc> make_byzantine_rbc(
-    ByzantineProfile profile, net::Bus& bus, ProcessId pid,
+    FaultKind fault, net::Bus& bus, ProcessId pid,
     std::unique_ptr<rbc::ReliableBroadcast> inner) {
-  switch (profile) {
-    case ByzantineProfile::kEquivocate:
-      return std::make_unique<EquivocatingBrachaRbc>(bus, pid);
-    case ByzantineProfile::kMute:
-      return std::make_unique<MuteRbc>(std::move(inner));
-    case ByzantineProfile::kSelective:
-      return std::make_unique<SelectiveRbc>(bus, pid);
-    case ByzantineProfile::kHonest:
-      break;
+  DR_ASSERT_MSG(stack_plays(fault), "no attacking RBC for this fault");
+  if (fault == FaultKind::kMute) {
+    return std::make_unique<MuteRbc>(std::move(inner));
   }
-  DR_ASSERT_MSG(false, "make_byzantine_rbc: kHonest has no attacking wrapper");
-  return nullptr;
+  if (fault == FaultKind::kEquivocate) {
+    return std::make_unique<EquivocatingBrachaRbc>(bus, pid);
+  }
+  return std::make_unique<SelectiveRbc>(bus, pid);
 }
 
 }  // namespace dr::core

@@ -59,13 +59,6 @@ struct WaveCommitMonotone {
   }
 };
 
-/// One a_deliver output record.
-struct Delivered {
-  Bytes block;
-  Round round = 0;       ///< the paper's sequence number r (vertex round)
-  ProcessId source = 0;  ///< p_k, the proposer
-};
-
 /// Which commit rule orders the DAG. Stamped into recovery snapshots
 /// (storage/snapshot.hpp): the two personalities decide different wave
 /// sequences, so replaying one's durable state under the other would

@@ -10,11 +10,11 @@ ProcessStack::ProcessStack(net::Bus& bus, ProcessId pid, StackOptions opts,
                            OrderingRule::DeliverFn deliver,
                            OrderingRule::CommitFn on_commit) {
   rbc_ = rbc::make_factory(opts.rbc_kind)(bus, pid, opts.seed);
-  if (opts.byzantine != ByzantineProfile::kHonest) {
-    DR_ASSERT_MSG(opts.byzantine == ByzantineProfile::kMute ||
+  if (stack_plays(opts.fault)) {
+    DR_ASSERT_MSG(opts.fault == FaultKind::kMute ||
                       opts.rbc_kind == rbc::RbcKind::kBracha,
-                  "crafted-SEND Byzantine profiles speak Bracha's wire format");
-    auto byz = make_byzantine_rbc(opts.byzantine, bus, pid, std::move(rbc_));
+                  "crafted-SEND faults speak Bracha's wire format");
+    auto byz = make_byzantine_rbc(opts.fault, bus, pid, std::move(rbc_));
     byz_ = byz.get();
     rbc_ = std::move(byz);
   }

@@ -28,7 +28,7 @@ enum class CoinMode {
 /// from its own config (SystemConfig, NodeOptions) with its own defaults.
 struct StackOptions {
   rbc::RbcKind rbc_kind = rbc::RbcKind::kBracha;
-  ByzantineProfile byzantine = ByzantineProfile::kHonest;
+  FaultKind fault = FaultKind::kNone;  ///< attacks if stack_plays(fault)
   CoinMode coin_mode = CoinMode::kThreshold;
   OrderingKind ordering = OrderingKind::kDagRider;
   BullsharkOptions bullshark{};
@@ -48,7 +48,7 @@ class ProcessStack {
                const coin::CoinDealer* dealer, OrderingRule::DeliverFn deliver,
                OrderingRule::CommitFn on_commit);
 
-  /// The attacking RBC when a Byzantine profile is set, else nullptr.
+  /// The attacking RBC when the stack plays its fault, else nullptr.
   ByzantineRbc* byzantine() const { return byz_; }
   coin::Coin& coin() { return *coin_; }
   dag::DagBuilder& builder() { return *builder_; }
@@ -56,7 +56,7 @@ class ProcessStack {
 
  private:
   std::unique_ptr<rbc::ReliableBroadcast> rbc_;
-  ByzantineRbc* byz_ = nullptr;  ///< rbc_ downview when a profile is set
+  ByzantineRbc* byz_ = nullptr;  ///< rbc_ downview when the stack attacks
   std::unique_ptr<coin::Coin> coin_;
   std::unique_ptr<dag::DagBuilder> builder_;
   std::unique_ptr<OrderingRule> rider_;

@@ -26,9 +26,7 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed) {
   }
   net_ = std::make_unique<sim::Network>(sim_, cfg_.committee,
                                         std::move(cfg_.delays));
-  faults_ = cfg_.faults;
-  faults_.resize(cfg_.committee.n, FaultKind::kNone);
-  cfg_.faults = faults_;
+  cfg_.faults.resize(cfg_.committee.n, FaultKind::kNone);
 
   dealer_ = std::make_unique<coin::CoinDealer>(cfg_.seed ^ coin::kDealerSeedTweak,
                                                cfg_.committee);
@@ -37,26 +35,18 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed) {
   // process entirely; every other fault counts as corrupted for the
   // adversary budget and the honest-bytes accounting.
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
-    if (faults_[pid] == FaultKind::kCrash) {
+    if (cfg_.faults[pid] == FaultKind::kCrash) {
       net_->crash(pid);
-    } else if (faults_[pid] != FaultKind::kNone) {
+    } else if (cfg_.faults[pid] != FaultKind::kNone) {
       net_->corrupt(pid);
     }
   }
 
   nodes_.reserve(cfg_.committee.n);
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
-    // Equivocate and mute run the runtime's Byzantine profiles; crash and
-    // stealthy are played by the harness around an honest stack.
-    ByzantineProfile byzantine = ByzantineProfile::kHonest;
-    if (faults_[pid] == FaultKind::kEquivocate) {
-      byzantine = ByzantineProfile::kEquivocate;
-    } else if (faults_[pid] == FaultKind::kMute) {
-      byzantine = ByzantineProfile::kMute;
-    }
     StackOptions opts{
         .rbc_kind = cfg_.rbc_kind,
-        .byzantine = byzantine,
+        .fault = cfg_.faults[pid],
         .coin_mode = cfg_.coin_mode,
         .ordering = cfg_.ordering,
         .bullshark = cfg_.bullshark,
@@ -73,7 +63,7 @@ System::~System() = default;
 
 void System::start() {
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
-    if (faults_[pid] != FaultKind::kCrash) nodes_[pid]->builder().start();
+    if (cfg_.faults[pid] != FaultKind::kCrash) nodes_[pid]->builder().start();
   }
 }
 

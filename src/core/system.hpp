@@ -19,19 +19,6 @@
 
 namespace dr::core {
 
-enum class FaultKind {
-  kNone,
-  kCrash,       ///< sends and receives nothing, ever
-  kMute,        ///< runs ByzantineProfile::kMute: serves others' broadcasts
-                ///< but withholds every own one
-  kEquivocate,  ///< runs ByzantineProfile::kEquivocate (Bracha RBC only;
-                ///< reliable broadcast must defuse it)
-  kStealthy,    ///< behaves exactly like a correct process but counts as
-                ///< Byzantine — the chain-quality worst case, where the
-                ///< adversary's processes participate fully to claim as
-                ///< many slots of every ordered prefix as possible
-};
-
 struct SystemConfig {
   Committee committee = Committee::for_f(1);
   std::uint64_t seed = 1;
@@ -48,7 +35,8 @@ struct SystemConfig {
   Round gc_depth_rounds = 0;
   /// Delay model; nullptr -> UniformDelay(1, 100).
   std::unique_ptr<sim::DelayModel> delays;
-  /// fault[pid] (missing entries default kNone). At most f non-kNone.
+  /// faults[pid] (missing entries default kNone). At most f non-kNone.
+  /// The harness plays crash and stealthy; the stack plays the rest.
   std::vector<FaultKind> faults;
 };
 
@@ -97,7 +85,7 @@ class System {
   std::uint32_t n() const { return cfg_.committee.n; }
 
   bool is_correct(ProcessId pid) const {
-    return faults_[pid] == FaultKind::kNone;
+    return cfg_.faults[pid] == FaultKind::kNone;
   }
   std::vector<ProcessId> correct_ids() const;
   Node& node(ProcessId pid) { return *nodes_[pid]; }
@@ -112,7 +100,6 @@ class System {
   sim::Simulator sim_;
   std::unique_ptr<sim::Network> net_;
   std::unique_ptr<coin::CoinDealer> dealer_;
-  std::vector<FaultKind> faults_;
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 

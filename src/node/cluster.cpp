@@ -12,9 +12,13 @@ Cluster::Cluster(Committee committee, NodeOptions opts, ClusterTweaks tweaks)
       dealer_(opts_.seed ^ coin::kDealerSeedTweak, committee),
       net_(committee) {
   DR_ASSERT_MSG(committee_.valid(), "Cluster: committee must satisfy n > 3f");
-  DR_ASSERT_MSG(tweaks_.profiles.empty() ||
-                    tweaks_.profiles.size() == committee_.n,
-                "ClusterTweaks::profiles must cover every node or none");
+  DR_ASSERT_MSG(opts_.fault == core::FaultKind::kNone,
+                "Cluster: seat faults through ClusterTweaks::faults");
+  if (tweaks_.faults.empty()) {
+    tweaks_.faults.assign(committee_.n, core::FaultKind::kNone);
+  }
+  DR_ASSERT_MSG(tweaks_.faults.size() == committee_.n,
+                "ClusterTweaks::faults must cover every node or none");
   if (tweaks_.tcp_transport) {
     for (std::uint16_t port : net::pick_free_ports(committee_.n)) {
       tcp_peers_.push_back(net::TcpPeer{"127.0.0.1", port});
@@ -34,7 +38,7 @@ NodeOptions Cluster::node_opts(ProcessId pid) const {
   if (!o.wal_dir.empty()) {
     o.wal_dir += "/node-" + std::to_string(pid);
   }
-  if (!tweaks_.profiles.empty()) o.byzantine = tweaks_.profiles[pid];
+  o.fault = tweaks_.faults[pid];
   if (o.ingress_enable) o.ingress.port = ingress_ports_[pid];
   return o;
 }
@@ -77,12 +81,9 @@ void Cluster::stop_node(ProcessId pid) {
   nodes_[pid]->stop();
 }
 
-void Cluster::set_profile(ProcessId pid, core::ByzantineProfile profile) {
+void Cluster::set_fault(ProcessId pid, core::FaultKind fault) {
   DR_ASSERT(pid < committee_.n);
-  if (tweaks_.profiles.empty()) {
-    tweaks_.profiles.assign(committee_.n, opts_.byzantine);
-  }
-  tweaks_.profiles[pid] = profile;
+  tweaks_.faults[pid] = fault;
 }
 
 void Cluster::restart_node(ProcessId pid) {

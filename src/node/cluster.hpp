@@ -22,12 +22,12 @@ namespace dr::node {
 /// knobs (DESIGN.md §12). transport_wrap decorates every node's endpoint
 /// (e.g. with a net::ChaosTransport) — it is re-applied on restart_node, so
 /// a rejoining node re-enters the same fault environment it crashed out of.
-/// profiles[pid] overrides opts.byzantine for that node only.
+/// faults[pid] is node pid's NodeOptions::fault: the runtime's one seat.
 struct ClusterTweaks {
   using TransportWrap = std::function<std::unique_ptr<net::Transport>(
       ProcessId pid, std::unique_ptr<net::Transport> inner)>;
   TransportWrap transport_wrap;
-  std::vector<core::ByzantineProfile> profiles;  ///< empty = all honest
+  std::vector<core::FaultKind> faults;  ///< empty = all kNone
   /// Node-to-node links over loopback TCP (net::TcpTransport) instead of the
   /// shared-memory transport: the full wire path (framing, handshakes,
   /// reader/writer threads), and with ingress enabled, client traffic and
@@ -51,11 +51,11 @@ class Cluster {
   /// the cluster keeps running. Peers' sends to it drop, as on a real
   /// network partition.
   void stop_node(ProcessId pid);
-  /// Changes one node's Byzantine profile for subsequent (re)starts — e.g.
-  /// a kMute node that crash-stops and comes back honest, the shape of the
-  /// ingress at-least-once regression. Takes effect at the next
-  /// restart_node(pid); the running instance is untouched.
-  void set_profile(ProcessId pid, core::ByzantineProfile profile);
+  /// Changes one node's seat in ClusterTweaks::faults for subsequent
+  /// (re)starts — e.g. a kMute node that crash-stops and comes back honest,
+  /// the shape of the ingress at-least-once regression. Takes effect at the
+  /// next restart_node(pid); the running instance is untouched.
+  void set_fault(ProcessId pid, core::FaultKind fault);
   /// Replaces a stopped node with a fresh Node on the same endpoint slot and
   /// (when the cluster was built with a wal_dir) the same data directory —
   /// the restarted node recovers from its WAL, then catch-up sync fills the
@@ -85,8 +85,8 @@ class Cluster {
 
  private:
   /// Per-node options: opts_.wal_dir (when set) is treated as a base
-  /// directory and becomes <base>/node-<pid> for each node; tweaks_.profiles
-  /// (when set) overrides the Byzantine profile per node.
+  /// directory and becomes <base>/node-<pid> for each node; tweaks_.faults
+  /// fills the per-node fault.
   NodeOptions node_opts(ProcessId pid) const;
   std::unique_ptr<Node> build_node(ProcessId pid);
 

@@ -37,6 +37,9 @@ Node::Node(std::unique_ptr<net::Transport> transport,
       transport_(std::move(transport)),
       bus_(*transport_),
       epoch_(std::chrono::steady_clock::now()) {
+  DR_ASSERT_MSG(opts_.fault == core::FaultKind::kNone ||
+                    core::stack_plays(opts_.fault),
+                "the runtime plays only mute, equivocate and selective");
   const ProcessId my_pid = transport_->pid();
   auto deliver = [this](const Bytes& block, const crypto::Digest& block_digest,
                         Round r, ProcessId src) {
@@ -62,7 +65,7 @@ Node::Node(std::unique_ptr<net::Transport> transport,
   stack_ = std::make_unique<core::ProcessStack>(
       bus_, my_pid,
       core::StackOptions{.rbc_kind = rbc::RbcKind::kBracha,
-                         .byzantine = opts_.byzantine,
+                         .fault = opts_.fault,
                          .coin_mode = core::CoinMode::kPiggyback,
                          .ordering = opts_.ordering,
                          .bullshark = {},

@@ -50,10 +50,10 @@ struct NodeOptions {
   /// fsync per WAL append (power-failure durability; default covers process
   /// crashes only, matching the restart tests' crash model).
   bool wal_fsync = false;
-  /// Live adversarial profile (DESIGN.md §12): kHonest runs the protocol
-  /// faithfully; any other value replaces the RBC with an attacking one
-  /// (core/byzantine.hpp).
-  core::ByzantineProfile byzantine = core::ByzantineProfile::kHonest;
+  /// Live fault (DESIGN.md §12): kNone runs the protocol faithfully; mute,
+  /// equivocate and selective replace the RBC with an attacking one
+  /// (core/byzantine.hpp). Crash and stealthy are refused.
+  core::FaultKind fault = core::FaultKind::kNone;
   /// DAG garbage collection (DESIGN.md §10): 0 = off (the paper's unbounded
   /// DAG). Otherwise rounds more than this far below the last decided
   /// wave's first round count as delivered and are compacted, except what

@@ -214,7 +214,9 @@ class ClientDriver {
 
 std::string SoakResult::describe() const {
   std::string out = "chaos-soak seed=" + std::to_string(seed);
+  out += " n=" + std::to_string(n);
   out += std::string(" ordering=") + core::to_string(ordering);
+  out += std::string(" fault=") + core::to_string(fault);
   out += " byz_pid=" + std::to_string(byzantine_pid);
   out += " churn_pid=" + std::to_string(churn_pid);
   out += " plan=" + plan;
@@ -232,7 +234,9 @@ SoakResult run_chaos_soak(const SoakOptions& opts) {
 
   SoakResult result;
   result.seed = opts.seed;
+  result.n = opts.n;
   result.ordering = opts.ordering;
+  result.fault = opts.fault;
 
   // Everything adversarial derives from the one seed: the link-fault plan
   // from its own stream inside randomized(), the seat/timing choices below
@@ -243,7 +247,7 @@ SoakResult run_chaos_soak(const SoakOptions& opts) {
 
   SplitMix64 sched(opts.seed ^ kSoakSeedTweak);
   const ProcessId byz_pid =
-      opts.byzantine != core::ByzantineProfile::kHonest
+      opts.fault != core::FaultKind::kNone
           ? static_cast<ProcessId>(sched.next() % opts.n)
           : static_cast<ProcessId>(opts.n);
   ProcessId churn_pid = static_cast<ProcessId>(opts.n);
@@ -273,8 +277,8 @@ SoakResult run_chaos_soak(const SoakOptions& opts) {
     return std::make_unique<net::ChaosTransport>(std::move(inner), plan);
   };
   if (byz_pid < opts.n) {
-    tweaks.profiles.assign(opts.n, core::ByzantineProfile::kHonest);
-    tweaks.profiles[byz_pid] = opts.byzantine;
+    tweaks.faults.assign(opts.n, core::FaultKind::kNone);
+    tweaks.faults[byz_pid] = opts.fault;
   }
 
   Cluster cluster(committee, nopts, std::move(tweaks));
@@ -335,6 +339,14 @@ SoakResult run_chaos_soak(const SoakOptions& opts) {
   if (byz_pid < opts.n) {
     delivered.erase(delivered.begin() + byz_pid);
     commits.erase(commits.begin() + byz_pid);
+    // Chain quality (§3) bounds what a Byzantine seat can claim of the
+    // order, so it is judged whenever one is held.
+    std::vector<ProcessId> correct_ids;
+    for (ProcessId pid = 0; pid < opts.n; ++pid) {
+      if (pid != byz_pid) correct_ids.push_back(pid);
+    }
+    result.chain_quality =
+        core::audit_chain_quality(delivered, committee, correct_ids);
   }
 
   if (opts.canary && !delivered.empty() && delivered[0].size() >= 2) {
@@ -346,6 +358,8 @@ SoakResult run_chaos_soak(const SoakOptions& opts) {
 
   if (auto v = core::audit_logs(delivered, commits)) {
     result.violation = *v;
+  } else if (result.chain_quality && result.chain_quality->violation) {
+    result.violation = *result.chain_quality->violation;
   }
   if (clients && !clients->connected()) {
     result.failed_check = "ingress clients never connected";

@@ -3,7 +3,8 @@
 // an optional live Byzantine node — and judges the surviving logs with the
 // shared BAB auditors (core/audit.hpp). One seed pins the entire adversarial
 // schedule: the ChaosPlan, the Byzantine seat, and the churn victim/timing
-// all derive from it, so SoakResult::describe() is a complete replay recipe.
+// all derive from it, so SoakResult::describe() — seed, n, ordering, seated
+// fault and plan — is a complete replay recipe.
 //
 // The driver owns no files: callers that want churn (which needs durable
 // state to restart from) pass a caller-created wal_dir. This keeps file I/O
@@ -12,8 +13,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 
+#include "core/audit.hpp"
 #include "metrics/counters.hpp"
 #include "node/cluster.hpp"
 
@@ -33,9 +36,9 @@ struct SoakOptions {
   /// Crash-stop one honest node mid-run and restart it (requires wal_dir so
   /// the victim has a WAL to recover from before catch-up sync tops it up).
   bool with_churn = false;
-  /// != kHonest seats one live adversary at a seed-derived pid; its logs are
+  /// != kNone seats one live adversary at a seed-derived pid; its logs are
   /// excluded from the audit (the BAB model judges correct processes only).
-  core::ByzantineProfile byzantine = core::ByzantineProfile::kHonest;
+  core::FaultKind fault = core::FaultKind::kNone;
   /// Base directory for per-node WALs; empty = no persistence (and no churn).
   std::string wal_dir;
   /// Self-test hook: corrupt one delivered record before auditing, proving
@@ -59,11 +62,16 @@ struct SoakResult {
   /// nothing about them.
   std::string failed_check;
   std::uint64_t seed = 0;
+  std::uint32_t n = 0;
   core::OrderingKind ordering = core::OrderingKind::kDagRider;
+  core::FaultKind fault = core::FaultKind::kNone;
   std::string plan;  ///< ChaosPlan::describe() of the schedule that ran
   /// pid of the seated adversary, or n (== "none") when all-honest.
   ProcessId byzantine_pid = 0;
   std::uint64_t byzantine_attacks = 0;
+  /// Chain quality of the correct logs, judged whenever a fault holds a
+  /// seat (nullopt otherwise); a short prefix is a violation.
+  std::optional<core::ChainQuality> chain_quality;
   /// pid crashed and restarted mid-run, or n when churn was off.
   ProcessId churn_pid = 0;
   /// Cluster-wide counter aggregate (includes transport.chaos.* fault

@@ -1,7 +1,7 @@
 // Deterministic chaos harness tests (DESIGN.md §12): the seed-replay
 // contract of net::ChaosPlan, the checked-in regression seeds, catch-up
 // rejoin under injected kSync loss, partition/heal liveness, live Byzantine
-// profiles, and the canary proving the soak harness actually catches
+// faults, and the canary proving the soak harness actually catches
 // violations and replays them from the printed seed.
 #include <gtest/gtest.h>
 
@@ -166,8 +166,9 @@ TEST(ChaosSoak, CanaryViolationCaughtAndReplaysFromSeed) {
   ASSERT_FALSE(first.violation.empty())
       << "canary-corrupted logs passed the auditors — the harness is blind";
   EXPECT_FALSE(first.ok);
-  // The replay recipe names the seed and the full plan.
-  EXPECT_NE(first.describe().find("seed=7"), std::string::npos);
+  // The replay recipe names the seed, the size, the seat and the full plan.
+  EXPECT_NE(first.describe().find("seed=7 n=4 "), std::string::npos);
+  EXPECT_NE(first.describe().find(" fault=none "), std::string::npos);
   EXPECT_NE(first.describe().find("plan="), std::string::npos);
   EXPECT_EQ(first.plan, net::ChaosPlan::randomized(7, 4).describe());
 
@@ -179,14 +180,14 @@ TEST(ChaosSoak, CanaryViolationCaughtAndReplaysFromSeed) {
   EXPECT_EQ(replay.plan, first.plan);
 }
 
-// --- Live Byzantine profiles ---
+// --- Live Byzantine faults ---
 
-TEST(ChaosSoak, LiveByzantineProfilesAreNeutralized) {
-  const core::ByzantineProfile profiles[] = {
-      core::ByzantineProfile::kEquivocate, core::ByzantineProfile::kMute,
-      core::ByzantineProfile::kSelective};
+TEST(ChaosSoak, LiveByzantineFaultsAreNeutralized) {
+  const core::FaultKind faults[] = {core::FaultKind::kEquivocate,
+                                    core::FaultKind::kMute,
+                                    core::FaultKind::kSelective};
   std::uint64_t seed = 31;
-  for (const core::ByzantineProfile profile : profiles) {
+  for (const core::FaultKind fault : faults) {
     SoakOptions opts;
     opts.seed = seed++;
     opts.n = 4;
@@ -195,12 +196,37 @@ TEST(ChaosSoak, LiveByzantineProfilesAreNeutralized) {
     // Chaos faults stay on; the scripted partition is off so the adversary
     // (not the network schedule) is the variable under test.
     opts.with_partition = false;
-    opts.byzantine = profile;
+    opts.fault = fault;
     const SoakResult result = run_chaos_soak(opts);
-    EXPECT_TRUE(result.ok) << to_string(profile) << ": " << result.describe();
+    EXPECT_TRUE(result.ok) << result.describe();
+    // The replay recipe names the seated fault.
+    EXPECT_NE(result.describe().find(std::string(" fault=") + to_string(fault)),
+              std::string::npos);
     // A Byzantine test whose adversary never attacked proves nothing.
-    EXPECT_GT(result.byzantine_attacks, 0u) << to_string(profile);
+    EXPECT_GT(result.byzantine_attacks, 0u) << to_string(fault);
     EXPECT_LT(result.byzantine_pid, opts.n);
+    EXPECT_TRUE(result.chain_quality.has_value()) << to_string(fault);
+  }
+}
+
+// The runtime seats a fault one way, through ClusterTweaks::faults: a
+// Cluster refuses a non-kNone NodeOptions::fault template, and a node
+// refuses the faults only the simulator hosts (crash, stealthy).
+TEST(ClusterDeathTest, SeatsFaultsOnlyThroughTheTable) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Committee committee = Committee::for_f(1);
+  NodeOptions templated;
+  templated.fault = core::FaultKind::kMute;
+  EXPECT_DEATH(Cluster cluster(committee, templated),
+               "seat faults through ClusterTweaks::faults");
+  for (const core::FaultKind fault :
+       {core::FaultKind::kCrash, core::FaultKind::kStealthy}) {
+    ClusterTweaks tweaks;
+    tweaks.faults.assign(committee.n, core::FaultKind::kNone);
+    tweaks.faults[1] = fault;
+    EXPECT_DEATH(Cluster cluster(committee, {}, tweaks),
+                 "the runtime plays only mute, equivocate and selective")
+        << to_string(fault);
   }
 }
 

@@ -1,12 +1,13 @@
 // End-to-end BAB property tests for DAG-Rider (Algorithm 3) on the full
 // stack: every reliable-broadcast instantiation, every coin mode, crash /
-// silent / equivocating faults, and adversarial schedulers. The assertions
-// are the paper's §3 properties: Agreement, Integrity, Validity, Total
-// Order, plus chain quality and the commit-consistency of Lemma 1.
+// silent / equivocating / selective faults, and adversarial schedulers. The
+// assertions are the paper's §3 properties: Agreement, Integrity, Validity,
+// Total Order, plus chain quality and the commit-consistency of Lemma 1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "core/audit.hpp"
 #include "core/system.hpp"
@@ -175,18 +176,30 @@ TEST(DagRiderFaults, ProgressWithMuteProcesses) {
   EXPECT_GT(sys.node(0).byzantine()->attacks(), 0u);
 }
 
-TEST(DagRiderFaults, EquivocatorCannotBreakAgreement) {
-  SystemConfig cfg = base_config(1, 23);
-  cfg.rbc_kind = rbc::RbcKind::kBracha;  // equivocation targets Bracha
-  cfg.faults.assign(cfg.committee.n, FaultKind::kNone);
-  cfg.faults[2] = FaultKind::kEquivocate;
-  System sys(std::move(cfg));
-  sys.start();
-  ASSERT_TRUE(sys.run_until_delivered(24));
-  check_safety(sys);
-  // Non-vacuous: the equivocator really sent conflicting vertices.
-  ASSERT_NE(sys.node(2).byzantine(), nullptr);
-  EXPECT_GT(sys.node(2).byzantine()->attacks(), 0u);
+// The two faults that hand-craft Bracha SENDs (core/byzantine.hpp), seated
+// at n = 4 and n = 7: neither the equivocator's split quorum nor the
+// selective sender's blind set may break Total Order, Integrity or chain
+// quality.
+TEST(DagRiderFaults, CraftedSendFaultsCannotBreakAgreement) {
+  for (const FaultKind fault : {FaultKind::kEquivocate, FaultKind::kSelective}) {
+    for (const std::uint32_t f : {1u, 2u}) {
+      SCOPED_TRACE(std::string(to_string(fault)) + " f=" + std::to_string(f));
+      SystemConfig cfg = base_config(f, 23);
+      cfg.rbc_kind = rbc::RbcKind::kBracha;  // both attacks target Bracha
+      cfg.faults.assign(cfg.committee.n, FaultKind::kNone);
+      cfg.faults[2] = fault;
+      System sys(std::move(cfg));
+      sys.start();
+      ASSERT_TRUE(sys.run_until_delivered(24));
+      check_safety(sys);
+      const ChainQuality cq = audit_chain_quality(
+          correct_logs(sys), sys.committee(), sys.correct_ids());
+      EXPECT_EQ(cq.short_prefixes, 0u) << cq.violation.value_or("");
+      // Non-vacuous: the adversary really sent crafted SENDs.
+      ASSERT_NE(sys.node(2).byzantine(), nullptr);
+      EXPECT_GT(sys.node(2).byzantine()->attacks(), 0u);
+    }
+  }
 }
 
 TEST(DagRiderFaults, CrashPlusAdversarialDelays) {
