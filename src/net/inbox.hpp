@@ -1,17 +1,17 @@
 // Thread-safe MPSC inbox feeding a node's event loop. Many transport/link
-// threads push; exactly one consumer drains in batches, so the consumer pays
-// one lock round-trip per drain cycle regardless of how many messages are
-// pending. The capacity is a soft bound realizing per-link backpressure:
-// push() blocks while the inbox is full — but never forever. After a grace
-// period it force-enqueues and counts an overflow, trading strict
-// boundedness for deadlock freedom (two nodes blocked mid-broadcast into
-// each other's full inboxes must not wedge the cluster).
+// threads push batches; exactly one consumer drains everything at once, so
+// each side pays one lock round-trip per batch regardless of how many frames
+// it carries. The capacity is a soft bound realizing per-link backpressure:
+// a push that finds the inbox full blocks — but never forever. After one
+// grace period it force-enqueues the whole batch and counts one overflow,
+// trading strict boundedness for deadlock freedom (two nodes blocked
+// mid-flush into each other's full inboxes must not wedge the cluster).
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <iterator>
 #include <mutex>
 #include <vector>
 
@@ -26,35 +26,32 @@ class Inbox {
                      std::chrono::milliseconds(100))
       : capacity_(capacity), overflow_grace_(overflow_grace) {}
 
-  /// Blocking producer push with backpressure (see header comment).
-  void push(Frame f) {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (closed_) return;
-    if (queue_.size() >= capacity_) {
-      if (!not_full_.wait_for(lk, overflow_grace_, [this] {
+  /// Appends `frames` in order and leaves `frames` empty. A bounded push
+  /// that finds the inbox full waits at most one grace period for room (see
+  /// header comment). An unbounded push never blocks: a node's sends to
+  /// itself use it, because the consumer must never block on its own inbox.
+  void push_batch(std::vector<Frame>& frames, bool bounded) {
+    if (frames.empty()) return;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      if (!closed_ && bounded && queue_.size() >= capacity_ &&
+          !not_full_.wait_for(lk, overflow_grace_, [this] {
             return queue_.size() < capacity_ || closed_;
           })) {
         ++overflows_;  // grace expired: overflow rather than deadlock
       }
-      if (closed_) return;
+      if (!closed_) {
+        queue_.insert(queue_.end(), std::make_move_iterator(frames.begin()),
+                      std::make_move_iterator(frames.end()));
+      }
     }
-    queue_.push_back(std::move(f));
+    frames.clear();
     not_empty_.notify_one();
   }
 
-  /// Non-blocking push that ignores capacity. Used for a node's sends to
-  /// itself: the consumer must never block on its own inbox.
-  void push_unbounded(Frame f) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (closed_) return;
-      queue_.push_back(std::move(f));
-    }
-    not_empty_.notify_one();
-  }
-
-  /// Appends everything pending to `out`. If the inbox is empty, blocks up
-  /// to `wait` for the first message. Returns the number appended.
+  /// Moves everything pending to the end of `out` (handing the queue over
+  /// whole when `out` is empty). If the inbox is empty, blocks up to `wait`
+  /// for the first frame. Returns the number moved.
   [[nodiscard]] std::size_t pop_all(std::vector<Frame>& out,
                                     std::chrono::milliseconds wait) {
     std::unique_lock<std::mutex> lk(mu_);
@@ -63,8 +60,13 @@ class Inbox {
                           [this] { return !queue_.empty() || closed_; });
     }
     const std::size_t popped = queue_.size();
-    for (Frame& f : queue_) out.push_back(std::move(f));
-    queue_.clear();
+    if (out.empty()) {
+      out.swap(queue_);  // queue_ keeps out's old storage for reuse
+    } else {
+      out.insert(out.end(), std::make_move_iterator(queue_.begin()),
+                 std::make_move_iterator(queue_.end()));
+      queue_.clear();
+    }
     if (popped > 0) not_full_.notify_all();
     return popped;
   }
@@ -87,6 +89,7 @@ class Inbox {
     std::lock_guard<std::mutex> lk(mu_);
     return queue_.size();
   }
+  /// Bounded pushes whose grace period expired (one per batch).
   std::uint64_t overflows() const {
     std::lock_guard<std::mutex> lk(mu_);
     return overflows_;
@@ -98,7 +101,7 @@ class Inbox {
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<Frame> queue_;
+  std::vector<Frame> queue_;
   std::uint64_t overflows_ = 0;
   bool closed_ = false;
 };

@@ -19,6 +19,12 @@ class InProcEndpoint final : public Transport {
   const Committee& committee() const override { return shared_->committee; }
 
   void start(RecvFn recv) override {
+    start_batched([recv = std::move(recv)](std::vector<Frame>& frames) {
+      for (Frame& f : frames) recv(std::move(f));
+    });
+  }
+
+  void start_batched(BatchRecvFn recv) override {
     InProcNetwork::Peer& me = shared_->peers[pid_];
     std::unique_lock lock(me.mu);
     me.recv = std::move(recv);
@@ -27,8 +33,29 @@ class InProcEndpoint final : public Transport {
   }
 
   void send(ProcessId to, Channel channel, Payload payload) override {
+    std::vector<Frame> one;
+    one.push_back(Frame{pid_, channel, std::move(payload)});
+    send_batch(to, one);
+  }
+
+  void send_batch(ProcessId to, std::vector<Frame>& frames) override {
     DR_ASSERT(to < shared_->committee.n);
-    InProcNetwork::Peer& peer = shared_->peers[to];
+    if (frames.empty()) return;
+    deliver(shared_->peers[to], frames);
+    frames.clear();  // dropped, or already moved into the receiver
+  }
+
+  void stop() override {
+    InProcNetwork::Peer& me = shared_->peers[pid_];
+    me.ready.store(false, std::memory_order_release);
+    // Exclusive acquisition drains in-flight deliveries before the recv hook
+    // (which captures the node being destroyed) is released.
+    std::unique_lock lock(me.mu);
+    me.recv = nullptr;
+  }
+
+ private:
+  void deliver(InProcNetwork::Peer& peer, std::vector<Frame>& frames) {
     if (!peer.ready.load(std::memory_order_acquire)) {
       if (peer.ever_ready.load(std::memory_order_acquire)) {
         // The peer was up and went down (crash / restart window): drop, as a
@@ -46,24 +73,17 @@ class InProcEndpoint final : public Transport {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
+    // The link authenticates the sender: whatever the frames say, they come
+    // from this endpoint.
+    for (Frame& f : frames) f.from = pid_;
     // Shared lock for the duration of the delivery: a concurrent stop()
     // takes the exclusive side and therefore cannot complete — nor can the
     // receiving node be torn down — while we are inside its recv hook.
     std::shared_lock lock(peer.mu);
     if (!peer.ready.load(std::memory_order_acquire)) return;  // lost the race
-    peer.recv(Frame{pid_, channel, std::move(payload)});
+    peer.recv(frames);
   }
 
-  void stop() override {
-    InProcNetwork::Peer& me = shared_->peers[pid_];
-    me.ready.store(false, std::memory_order_release);
-    // Exclusive acquisition drains in-flight deliveries before the recv hook
-    // (which captures the node being destroyed) is released.
-    std::unique_lock lock(me.mu);
-    me.recv = nullptr;
-  }
-
- private:
   std::shared_ptr<InProcNetwork::Shared> shared_;
   ProcessId pid_;
 };

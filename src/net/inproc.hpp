@@ -2,9 +2,12 @@
 // exchanging frames through direct handoff into each receiver's inbox (the
 // receive hook). No serialization, no syscalls — this is the "as fast as
 // the hardware allows" configuration, and the one the auditor cross-check
-// tests run under sanitizers. Backpressure comes from the receiving node's
-// bounded inbox: a sender blocks inside the receiver's recv hook until the
-// consumer drains (see net::Inbox for the deadlock-freedom escape hatch).
+// tests run under sanitizers. A handoff carries a whole per-peer batch
+// (send_batch): one lock on the peer and one receive-hook call for all its
+// frames; send() is the one-frame case. Backpressure comes from the
+// receiving node's bounded inbox: a sender blocks inside the receiver's
+// recv hook until the consumer drains (see net::Inbox for the
+// deadlock-freedom escape hatch).
 #pragma once
 
 #include <atomic>
@@ -32,7 +35,7 @@ class InProcNetwork {
  private:
   friend class InProcEndpoint;
   struct Peer {
-    Transport::RecvFn recv;  ///< guarded by mu
+    Transport::BatchRecvFn recv;  ///< guarded by mu
     /// Serializes delivery against start/stop: senders hold it shared while
     /// inside recv, so stop() (exclusive) cannot return — and the endpoint's
     /// owner cannot destroy the receiving node — while a delivery is still

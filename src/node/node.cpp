@@ -94,14 +94,10 @@ Node::~Node() { stop(); }
 void Node::start() {
   DR_ASSERT_MSG(!running_.load() && !loop_stopped_, "Node::start is one-shot");
   running_.store(true, std::memory_order_release);
-  transport_->start([this](net::Frame f) {
-    // Self-sends use the unbounded path: the consumer of this inbox is the
-    // thread that produced them, and it must never block on itself.
-    if (f.from == pid()) {
-      inbox_.push_unbounded(std::move(f));
-    } else {
-      inbox_.push(std::move(f));
-    }
+  transport_->start_batched([this](std::vector<net::Frame>& frames) {
+    // Self batches are unbounded: the consumer of this inbox is the thread
+    // that produced them, and it must never block on itself.
+    inbox_.push_batch(frames, frames.front().from != pid());
   });
   thread_ = std::thread([this] { loop(); });
   if (ingress_) {
@@ -123,6 +119,9 @@ void Node::loop() {
         });
   }
   builder_->start();
+  // Frames the handlers emit wait in the bus's outbox until the flush that
+  // ends each pass, which goes before pop_all can block.
+  bus_.flush();
   std::vector<net::Frame> batch;
   while (running_.load(std::memory_order_acquire)) {
     batch.clear();
@@ -136,6 +135,7 @@ void Node::loop() {
     catchup_->tick(now_us());
     if (store_) maybe_compact();
     refill_from_mempool();
+    bus_.flush();
   }
 }
 
@@ -336,11 +336,15 @@ metrics::Counters Node::counters() const {
   out.emplace_back("mempool.in_flight", mempool_.in_flight());
   if (ingress_) metrics::append_prefixed(out, "ingress", ingress_->counters());
   // Backpressure on both sides of a link: the receiving inbox's grace
-  // expiries (the only ones in-process links have) and the transport's own
-  // send-queue overflows, plus whatever the concrete transport (or a chaos
-  // decorator around it) exposes, so fault-injection soaks are auditable
-  // from the same flat snapshot as everything else.
+  // expiries (the only ones in-process links have; one per batch) and the
+  // transport's own send-queue overflows, plus whatever the concrete
+  // transport (or a chaos decorator around it) exposes, so fault-injection
+  // soaks are auditable from the same flat snapshot as everything else.
+  // The outbox's handoffs (send_batch calls) against the frames they
+  // carried give the batching factor.
   out.emplace_back("node.inbox_overflows", inbox_.overflows());
+  out.emplace_back("node.handoffs", bus_.handoffs());
+  out.emplace_back("node.frames_sent", bus_.frames_sent());
   out.emplace_back("transport.backpressure_overflows",
                    transport_->backpressure_overflows());
   metrics::append_prefixed(out, "transport", transport_->counters());

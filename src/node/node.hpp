@@ -68,14 +68,17 @@ struct NodeOptions {
 };
 
 /// net::Bus facade over one Transport endpoint: subscribe() registers local
-/// handlers, send/broadcast go out through the transport, and dispatch()
-/// (called only from the node thread) routes inbound frames to handlers.
-/// This is the piece that lets rbc/ and coin/ components run unmodified on
-/// real links.
+/// handlers, send/broadcast append to a per-destination outbox that flush()
+/// hands to the transport, one send_batch per peer, and dispatch() routes
+/// inbound frames to handlers. Everything but subscribe() is node-thread
+/// only, so the outbox takes no lock. This is the piece that lets rbc/ and
+/// coin/ components run unmodified on real links.
 class NodeBus final : public net::Bus {
  public:
   explicit NodeBus(net::Transport& transport)
-      : transport_(transport), handlers_(net::kChannelCount) {}
+      : transport_(transport),
+        handlers_(net::kChannelCount),
+        outbox_(transport.committee().n) {}
 
   const Committee& committee() const override { return transport_.committee(); }
 
@@ -88,7 +91,8 @@ class NodeBus final : public net::Bus {
   void send(ProcessId from, ProcessId to, net::Channel channel,
             net::Payload payload) override {
     DR_ASSERT(from == transport_.pid());
-    transport_.send(to, channel, std::move(payload));
+    DR_ASSERT(to < outbox_.size());
+    outbox_[to].push_back(net::Frame{from, channel, std::move(payload)});
   }
 
   void broadcast(ProcessId from, net::Channel channel,
@@ -96,12 +100,24 @@ class NodeBus final : public net::Bus {
     DR_ASSERT(from == transport_.pid());
     // All n links (and the self-loop) share one payload buffer; only the
     // frame header is per-destination.
-    for (ProcessId to = 0; to < committee().n; ++to) {
-      transport_.send(to, channel, payload);
+    for (std::vector<net::Frame>& out : outbox_) {
+      out.push_back(net::Frame{from, channel, payload});
     }
   }
 
-  /// Node-thread only.
+  /// Hands every peer's queued frames to the transport, one send_batch per
+  /// peer that has any. Frames queued for self come back through the inbox
+  /// on a later loop pass, like any other.
+  void flush() {
+    for (ProcessId to = 0; to < outbox_.size(); ++to) {
+      std::vector<net::Frame>& out = outbox_[to];
+      if (out.empty()) continue;
+      ++handoffs_;
+      frames_sent_ += out.size();
+      transport_.send_batch(to, out);
+    }
+  }
+
   void dispatch(const net::Frame& f) {
     const auto idx = static_cast<std::uint32_t>(f.channel);
     if (idx < handlers_.size() && handlers_[idx]) {
@@ -109,9 +125,17 @@ class NodeBus final : public net::Bus {
     }
   }
 
+  /// send_batch calls made by flush(), and the frames they carried.
+  std::uint64_t handoffs() const { return handoffs_; }
+  std::uint64_t frames_sent() const { return frames_sent_; }
+
  private:
   net::Transport& transport_;
   std::vector<Handler> handlers_;
+  /// Frames queued per destination since the last flush().
+  std::vector<std::vector<net::Frame>> outbox_;
+  std::uint64_t handoffs_ = 0;
+  std::uint64_t frames_sent_ = 0;
 };
 
 /// One live DAG-Rider process on a real transport.

@@ -1,6 +1,7 @@
 #include "node/soak.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -45,7 +46,7 @@ using Clock = std::chrono::steady_clock;
 /// resubmitted byte-identically (payloads regenerate from (client, tx)). A
 /// failed dial, or a connection the server dropped, is redialed after
 /// kRedialBackoff. All state belongs to the thread running run(); the soak
-/// reads it only after joining that thread.
+/// reads it only after joining that thread, apart from the atomic acked().
 class ClientDriver {
  public:
   /// `rng` picks the churned connections.
@@ -84,10 +85,14 @@ class ClientDriver {
   }
 
   bool connected() const { return connected_; }
+  /// Txs acked so far; safe to poll while run() is going.
+  std::uint64_t acked() const {
+    return acked_.load(std::memory_order_relaxed);
+  }
 
   void report(SoakResult& r) const {
     r.ingress_submitted = submitted_;
-    r.ingress_acked = acked_;
+    r.ingress_acked = acked();
     r.ingress_resubmitted = resubmitted_;
     r.ingress_churn_events = churn_events_;
     r.ingress_ack_p50_ms = ack_ms_.percentile(0.50);
@@ -132,7 +137,7 @@ class ClientDriver {
                                                             it->second)
                       .count());
       outstanding_.erase(it);
-      ++acked_;
+      acked_.fetch_add(1, std::memory_order_relaxed);
     };
     if (!conn->connect(kConnectTimeoutMs)) {
       redial_at_[i] = Clock::now() + kRedialBackoff;
@@ -204,7 +209,7 @@ class ClientDriver {
   std::uint64_t next_seq_ = 0;
   bool connected_ = false;
   std::uint64_t submitted_ = 0;
-  std::uint64_t acked_ = 0;
+  std::atomic<std::uint64_t> acked_{0};
   std::uint64_t resubmitted_ = 0;
   std::uint64_t churn_events_ = 0;
   metrics::Summary ack_ms_;
@@ -314,6 +319,13 @@ SoakResult run_chaos_soak(const SoakOptions& opts) {
   result.progressed = cluster.wait_all_delivered(
       opts.target_delivered, std::max(remaining, std::chrono::milliseconds(1)));
   if (clients) {
+    // A small cluster can reach its delivery target while the clients are
+    // still dialing; the soak checks their acks, so give them until the
+    // deadline to see the first one.
+    while (clients->acked() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     // Wind the clients down before the nodes: their sessions die with the
     // ingress servers, and the drain window wants live ack paths.
     clients_thread.request_stop();

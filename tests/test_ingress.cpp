@@ -733,5 +733,25 @@ TEST(IngressSoak, SeededChaosSweepWithClientChurnStaysClean) {
   EXPECT_GT(resubmitted, 0u);
 }
 
+// At n=7 the cluster can reach its delivery target while the 28 client
+// connections are still dialing. The soak must keep its clients running
+// until their first ack (within its deadline) instead of failing "no
+// ingress tx was acked". This seed and size are `chaos_soak --seed 22 --n 7
+// --ingress`, which lost that race in about half of its replays.
+TEST(IngressSoak, ClientsRunUntilTheirFirstAck) {
+  for (int replay = 0; replay < 10; ++replay) {
+    node::SoakOptions opts;
+    opts.seed = 22;
+    opts.n = 7;
+    opts.target_delivered = 40;
+    opts.timeout = std::chrono::minutes(3);
+    opts.fault = core::FaultKind::kMute;
+    opts.with_ingress = true;
+    const node::SoakResult r = node::run_chaos_soak(opts);
+    ASSERT_TRUE(r.ok) << "replay " << replay << ": " << r.describe();
+    EXPECT_GT(r.ingress_acked, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace dr::ingress

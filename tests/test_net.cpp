@@ -277,6 +277,16 @@ TEST(Handshake, RejectsTruncationBadMagicAndVersionMismatch) {
   EXPECT_FALSE(decode_handshake(BytesView(encode_handshake(future))).ok());
 }
 
+/// One bounded (or self, unbounded) push of `count` empty frames from `from`.
+void push_frames(Inbox& inbox, ProcessId from, int count, bool bounded = true) {
+  std::vector<Frame> frames;
+  for (int i = 0; i < count; ++i) {
+    frames.push_back(Frame{from, Channel::kBracha, Bytes{}});
+  }
+  inbox.push_batch(frames, bounded);
+  EXPECT_TRUE(frames.empty());
+}
+
 TEST(InboxTest, MpscStressDeliversEverything) {
   Inbox inbox(1 << 12);
   constexpr int kProducers = 4;
@@ -287,8 +297,10 @@ TEST(InboxTest, MpscStressDeliversEverything) {
       for (int i = 0; i < kPerProducer; ++i) {
         Bytes payload(8);
         payload[0] = static_cast<std::uint8_t>(p);
-        inbox.push(Frame{static_cast<ProcessId>(p), Channel::kBracha,
-                         std::move(payload)});
+        std::vector<Frame> one;
+        one.push_back(Frame{static_cast<ProcessId>(p), Channel::kBracha,
+                            std::move(payload)});
+        inbox.push_batch(one, true);
       }
     });
   }
@@ -303,18 +315,77 @@ TEST(InboxTest, MpscStressDeliversEverything) {
   EXPECT_EQ(got.size(), static_cast<std::size_t>(kProducers * kPerProducer));
 }
 
+TEST(InboxTest, PerLinkFifoHoldsAcrossBatches) {
+  Inbox inbox(1 << 8);
+  constexpr int kProducers = 4;
+  constexpr std::uint32_t kPerProducer = 4'000;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&inbox, p] {
+      Xoshiro256 rng(static_cast<std::uint64_t>(p) + 1);
+      std::vector<Frame> frames;
+      for (std::uint32_t seq = 0; seq < kPerProducer;) {
+        const std::uint64_t size = 1 + rng.below(32);
+        for (std::uint64_t k = 0; k < size && seq < kPerProducer; ++k, ++seq) {
+          ByteWriter w;
+          w.u32(seq);
+          frames.push_back(Frame{static_cast<ProcessId>(p), Channel::kBracha,
+                                 std::move(w).take()});
+        }
+        inbox.push_batch(frames, true);
+      }
+    });
+  }
+  std::vector<std::uint32_t> next(kProducers, 0);
+  std::size_t total = 0;
+  std::vector<Frame> batch;
+  while (total < kProducers * kPerProducer) {
+    batch.clear();
+    total += inbox.pop_all(batch, std::chrono::milliseconds(10));
+    for (const Frame& f : batch) {
+      ByteReader r(f.payload.view());
+      ASSERT_EQ(r.u32(), next[f.from]) << "link " << f.from << " reordered";
+      ++next[f.from];
+    }
+  }
+  for (auto& t : producers) t.join();
+  for (std::uint32_t n : next) EXPECT_EQ(n, kPerProducer);
+}
+
 TEST(InboxTest, OverflowGraceForcesThroughInsteadOfDeadlocking) {
   Inbox inbox(2, std::chrono::milliseconds(5));
   for (int i = 0; i < 5; ++i) {
-    inbox.push(Frame{0, Channel::kBracha, Bytes{}});  // no consumer draining
+    push_frames(inbox, 0, 1);  // no consumer draining
   }
   EXPECT_EQ(inbox.size(), 5u);
   EXPECT_GE(inbox.overflows(), 3u);
 }
 
+TEST(InboxTest, FullInboxCostsABatchOneGraceAndOneOverflow) {
+  constexpr auto kGrace = std::chrono::milliseconds(50);
+  Inbox inbox(2, kGrace);
+  push_frames(inbox, 1, 2);  // fills the inbox without waiting
+  EXPECT_EQ(inbox.overflows(), 0u);
+  const auto t0 = std::chrono::steady_clock::now();
+  push_frames(inbox, 1, 10);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, kGrace);
+  EXPECT_EQ(inbox.overflows(), 1u);  // one per batch, not one per frame
+  EXPECT_EQ(inbox.size(), 12u);
+}
+
+TEST(InboxTest, SelfBatchesNeverBlock) {
+  Inbox inbox(1, std::chrono::seconds(60));
+  push_frames(inbox, 0, 1);  // full
+  const auto t0 = std::chrono::steady_clock::now();
+  push_frames(inbox, 0, 100, /*bounded=*/false);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+  EXPECT_EQ(inbox.overflows(), 0u);
+  EXPECT_EQ(inbox.size(), 101u);
+}
+
 TEST(InboxTest, CloseUnblocksProducerAndConsumer) {
   Inbox inbox(1);
-  inbox.push(Frame{0, Channel::kBracha, Bytes{}});
+  push_frames(inbox, 0, 1);
   std::thread closer([&inbox] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     inbox.close();
@@ -323,8 +394,41 @@ TEST(InboxTest, CloseUnblocksProducerAndConsumer) {
   (void)inbox.pop_all(batch, std::chrono::milliseconds(10));  // drains one frame
   (void)inbox.pop_all(batch, std::chrono::milliseconds(10'000));  // close() wakes
   closer.join();
-  inbox.push(Frame{0, Channel::kBracha, Bytes{}});  // no-op after close
+  push_frames(inbox, 0, 1);  // no-op after close
   EXPECT_EQ(inbox.size(), 0u);
+}
+
+TEST(InboxTest, CloseWakesABlockedBatchPush) {
+  Inbox inbox(1, std::chrono::seconds(60));
+  push_frames(inbox, 0, 1);  // full
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread producer([&inbox] { push_frames(inbox, 1, 3); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  inbox.close();
+  producer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+  EXPECT_EQ(inbox.size(), 1u);  // the blocked batch was dropped, not queued
+  EXPECT_EQ(inbox.overflows(), 0u);
+}
+
+TEST(InboxTest, PopAllReturnsEverythingQueued) {
+  Inbox inbox;
+  push_frames(inbox, 1, 3);
+  push_frames(inbox, 2, 4);
+  push_frames(inbox, 0, 2, /*bounded=*/false);
+  std::vector<Frame> out;
+  EXPECT_EQ(inbox.pop_all(out, std::chrono::milliseconds(0)), 9u);
+  ASSERT_EQ(out.size(), 9u);
+  EXPECT_EQ(out[0].from, 1u);
+  EXPECT_EQ(out[3].from, 2u);
+  EXPECT_EQ(out[7].from, 0u);
+  EXPECT_EQ(inbox.size(), 0u);
+  // Into a non-empty vector, pop_all appends.
+  push_frames(inbox, 3, 2);
+  EXPECT_EQ(inbox.pop_all(out, std::chrono::milliseconds(0)), 2u);
+  ASSERT_EQ(out.size(), 11u);
+  EXPECT_EQ(out[10].from, 3u);
+  EXPECT_EQ(inbox.pop_all(out, std::chrono::milliseconds(0)), 0u);
 }
 
 TEST(InProc, EndpointsExchangeFrames) {
@@ -355,6 +459,144 @@ TEST(InProc, EndpointsExchangeFrames) {
     }
   }
   for (auto& ep : eps) ep->stop();
+}
+
+std::vector<Frame> gossip_frames(ProcessId from, int count) {
+  std::vector<Frame> frames;
+  for (int i = 0; i < count; ++i) {
+    frames.push_back(
+        Frame{from, Channel::kGossip, Bytes{static_cast<std::uint8_t>(i)}});
+  }
+  return frames;
+}
+
+TEST(InProc, SendBatchIsOneHandoffInOrder) {
+  const Committee committee = Committee::for_f(1);
+  InProcNetwork network(committee);
+  auto sender = network.endpoint(0);
+  auto receiver = network.endpoint(1);
+  std::mutex mu;
+  std::vector<std::vector<Frame>> calls;
+  receiver->start_batched([&](std::vector<Frame>& frames) {
+    std::lock_guard<std::mutex> lk(mu);
+    calls.push_back(std::move(frames));
+  });
+  sender->start([](Frame) {});
+  // The link stamps the sender, whatever the frames claim.
+  std::vector<Frame> frames = gossip_frames(3, 5);
+  sender->send_batch(1, frames);
+  EXPECT_TRUE(frames.empty());
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    ASSERT_EQ(calls.size(), 1u);
+    ASSERT_EQ(calls[0].size(), 5u);
+    for (std::size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(calls[0][i].from, 0u);
+      EXPECT_EQ(calls[0][i].payload.to_bytes(),
+                Bytes{static_cast<std::uint8_t>(i)});
+    }
+  }
+  sender->stop();
+  receiver->stop();
+}
+
+TEST(InProc, SendBatchToStoppedPeerDropsWithoutBlocking) {
+  const Committee committee = Committee::for_f(1);
+  InProcNetwork network(committee);
+  auto sender = network.endpoint(0);
+  auto receiver = network.endpoint(1);
+  std::atomic<int> got{0};
+  receiver->start_batched([&](std::vector<Frame>& frames) {
+    got.fetch_add(static_cast<int>(frames.size()));
+  });
+  sender->start([](Frame) {});
+  receiver->stop();
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<Frame> frames = gossip_frames(0, 4);
+  sender->send_batch(1, frames);
+  // A never-started peer would hold the sender for up to 5 s.
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  EXPECT_TRUE(frames.empty());
+  EXPECT_EQ(got.load(), 0);
+  sender->stop();
+}
+
+TEST(InProc, SendBatchToNeverStartedPeerWaitsForIt) {
+  const Committee committee = Committee::for_f(1);
+  InProcNetwork network(committee);
+  auto sender = network.endpoint(0);
+  auto receiver = network.endpoint(1);
+  sender->start([](Frame) {});
+  std::atomic<int> got{0};
+  std::thread late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    receiver->start_batched([&](std::vector<Frame>& frames) {
+      got.fetch_add(static_cast<int>(frames.size()));
+    });
+  });
+  std::vector<Frame> frames = gossip_frames(0, 4);
+  sender->send_batch(1, frames);  // returns once the peer is up
+  late.join();
+  EXPECT_EQ(got.load(), 4);
+  sender->stop();
+  receiver->stop();
+}
+
+/// A decorator that overrides only the per-frame calls, as ChaosTransport
+/// does: batches reach it through Transport's default adapters.
+class PerFrameDecorator final : public Transport {
+ public:
+  explicit PerFrameDecorator(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+  ProcessId pid() const override { return inner_->pid(); }
+  const Committee& committee() const override { return inner_->committee(); }
+  void start(RecvFn recv) override {
+    inner_->start([this, recv = std::move(recv)](Frame f) {
+      recvs_.fetch_add(1);
+      recv(std::move(f));
+    });
+  }
+  void send(ProcessId to, Channel channel, Payload payload) override {
+    sends_.fetch_add(1);
+    inner_->send(to, channel, std::move(payload));
+  }
+  void stop() override { inner_->stop(); }
+  std::atomic<int> sends_{0};
+  std::atomic<int> recvs_{0};
+
+ private:
+  std::unique_ptr<Transport> inner_;
+};
+
+TEST(InProc, DecoratorsCarryBatchesThroughTheDefaultAdapters) {
+  const Committee committee = Committee::for_f(1);
+  InProcNetwork network(committee);
+  PerFrameDecorator sender(network.endpoint(0));
+  PerFrameDecorator receiver(network.endpoint(1));
+  std::mutex mu;
+  std::vector<Frame> got;
+  int hook_calls = 0;
+  receiver.start_batched([&](std::vector<Frame>& frames) {
+    std::lock_guard<std::mutex> lk(mu);
+    ++hook_calls;
+    for (Frame& f : frames) got.push_back(std::move(f));
+  });
+  sender.start_batched([](std::vector<Frame>&) {});
+  std::vector<Frame> frames = gossip_frames(0, 6);
+  sender.send_batch(1, frames);
+  EXPECT_TRUE(frames.empty());
+  EXPECT_EQ(sender.sends_.load(), 6);  // one send() per frame
+  EXPECT_EQ(receiver.recvs_.load(), 6);
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    EXPECT_EQ(hook_calls, 6);  // one single-frame batch per frame
+    ASSERT_EQ(got.size(), 6u);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].payload.to_bytes(), Bytes{static_cast<std::uint8_t>(i)});
+    }
+  }
+  sender.stop();
+  receiver.stop();
 }
 
 TEST(Tcp, LoopbackClusterExchangesFrames) {

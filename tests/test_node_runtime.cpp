@@ -7,12 +7,16 @@
 // inbox/mempool/log boundaries) actually holds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 
 #include "core/audit.hpp"
 #include "core/contract.hpp"
+#include "net/inbox.hpp"
+#include "net/inproc.hpp"
 #include "node/cluster.hpp"
 #include "node/node.hpp"
 #include "txpool/transaction.hpp"
@@ -135,6 +139,133 @@ TEST(GcHoldback, LongRunKeepsTotalOrder) {
   const auto violation =
       core::audit_logs(cluster.delivered_logs(), cluster.commit_logs());
   ASSERT_FALSE(violation.has_value()) << *violation;
+}
+
+// --- the outbox: per-peer batches, one handoff per peer per loop pass ---
+
+/// Starts every endpoint of `network`; endpoint 0's frames go to `hook0`,
+/// everyone else's are counted per receiver in `got` (guarded by `mu`).
+std::vector<std::unique_ptr<net::Transport>> start_endpoints(
+    net::InProcNetwork& network, net::Transport::BatchRecvFn hook0,
+    std::mutex& mu, std::vector<std::vector<std::size_t>>& got) {
+  std::vector<std::unique_ptr<net::Transport>> eps;
+  got.assign(network.committee().n, {});
+  for (ProcessId pid = 0; pid < network.committee().n; ++pid) {
+    eps.push_back(network.endpoint(pid));
+    if (pid == 0) {
+      eps[pid]->start_batched(hook0);
+      continue;
+    }
+    eps[pid]->start_batched([&mu, &got, pid](std::vector<net::Frame>& f) {
+      std::lock_guard<std::mutex> lk(mu);
+      got[pid].push_back(f.size());
+    });
+  }
+  return eps;
+}
+
+TEST(NodeBus, PeersSeeNoFrameUntilTheFlush) {
+  const Committee committee = Committee::for_f(1);
+  net::InProcNetwork network(committee);
+  std::mutex mu;
+  std::vector<std::vector<std::size_t>> got;
+  auto eps = start_endpoints(
+      network, [](std::vector<net::Frame>&) {}, mu, got);
+  NodeBus bus(*eps[0]);
+
+  bus.broadcast(0, net::Channel::kGossip, Bytes{1});
+  bus.send(0, 1, net::Channel::kGossip, Bytes{2});
+  bus.send(0, 1, net::Channel::kSync, Bytes{3});
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    for (ProcessId pid = 1; pid < committee.n; ++pid) {
+      EXPECT_TRUE(got[pid].empty()) << "peer " << pid;
+    }
+  }
+  EXPECT_EQ(bus.handoffs(), 0u);
+
+  bus.flush();
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    EXPECT_EQ(got[1], std::vector<std::size_t>{3});  // one handoff, 3 frames
+    EXPECT_EQ(got[2], std::vector<std::size_t>{1});
+    EXPECT_EQ(got[3], std::vector<std::size_t>{1});
+  }
+  EXPECT_EQ(bus.handoffs(), 4u);  // self included
+  EXPECT_EQ(bus.frames_sent(), 6u);
+  bus.flush();  // nothing queued, no handoff
+  EXPECT_EQ(bus.handoffs(), 4u);
+  for (auto& ep : eps) ep->stop();
+}
+
+TEST(NodeBus, SelfBroadcastArrivesOnALaterPassNeverReentrantly) {
+  const Committee committee = Committee::for_f(1);
+  net::InProcNetwork network(committee);
+  net::Inbox inbox;
+  std::mutex mu;
+  std::vector<std::vector<std::size_t>> got;
+  auto eps = start_endpoints(
+      network,
+      [&inbox](std::vector<net::Frame>& frames) {
+        inbox.push_batch(frames, frames.front().from != 0);
+      },
+      mu, got);
+  NodeBus bus(*eps[0]);
+  int depth = 0;
+  int max_depth = 0;
+  int handled = 0;
+  bus.subscribe(0, net::Channel::kGossip,
+                [&](ProcessId from, const net::Payload& payload) {
+                  EXPECT_EQ(from, 0u);
+                  max_depth = std::max(max_depth, ++depth);
+                  if (++handled < 3) {
+                    bus.broadcast(0, net::Channel::kGossip, payload);
+                  }
+                  --depth;
+                });
+
+  // The pass structure of Node::loop: dispatch what the inbox holds, then
+  // flush what the handlers emitted.
+  bus.broadcast(0, net::Channel::kGossip, Bytes{7});
+  EXPECT_EQ(inbox.size(), 0u);
+  bus.flush();
+  std::vector<net::Frame> batch;
+  for (int pass = 1; pass <= 3; ++pass) {
+    batch.clear();
+    ASSERT_EQ(inbox.pop_all(batch, std::chrono::milliseconds(0)), 1u)
+        << "pass " << pass;
+    for (const net::Frame& f : batch) bus.dispatch(f);
+    EXPECT_EQ(inbox.size(), 0u);  // the handler's broadcast is still queued
+    bus.flush();
+  }
+  batch.clear();
+  EXPECT_EQ(inbox.pop_all(batch, std::chrono::milliseconds(0)), 0u);
+  EXPECT_EQ(handled, 3);
+  EXPECT_EQ(max_depth, 1);
+  for (auto& ep : eps) ep->stop();
+}
+
+TEST(NodeRuntime, BusyClusterSendsSeveralFramesPerHandoff) {
+  const Committee committee = Committee::for_f(1);
+  NodeOptions opts;
+  opts.seed = 5;
+  Cluster cluster(committee, opts);
+  cluster.start();
+  const bool reached =
+      cluster.wait_all_delivered(2'000, std::chrono::minutes(2));
+  cluster.stop();
+  ASSERT_TRUE(reached);
+  std::uint64_t handoffs = 0;
+  std::uint64_t frames = 0;
+  for (ProcessId pid = 0; pid < committee.n; ++pid) {
+    for (const auto& [name, value] : cluster.node(pid).counters()) {
+      if (name == "node.handoffs") handoffs += value;
+      if (name == "node.frames_sent") frames += value;
+    }
+  }
+  EXPECT_GT(handoffs, 0u);
+  EXPECT_GT(frames, handoffs) << frames << " frames in " << handoffs
+                              << " handoffs";
 }
 
 }  // namespace
