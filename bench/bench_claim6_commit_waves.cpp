@@ -41,16 +41,15 @@ void run_one(std::uint64_t seed, std::unique_ptr<sim::DelayModel> delays,
     return;
   }
   const auto& rider = sys.node(0).rider();
-  const auto& commits = rider.committed_leaders();
   row.direct_rate.add(1.0 - static_cast<double>(rider.waves_without_direct_commit()) /
                                 static_cast<double>(rider.waves_evaluated()));
   Wave prev = 0;
   metrics::Summary gaps;
-  for (const auto& [wave, leader] : commits) {
-    const std::uint64_t gap = wave - prev;
+  for (const core::CommitRecord& commit : sys.node(0).commits()) {
+    const std::uint64_t gap = commit.wave - prev;
     gaps.add(static_cast<double>(gap));
     row.gap_histogram[gap] += 1;
-    prev = wave;
+    prev = commit.wave;
   }
   row.mean_gap.add(gaps.mean());
 }

@@ -208,12 +208,10 @@ inline DagRiderRun run_dag_rider(std::uint32_t n, rbc::RbcKind kind,
     out.time_units_to_n_values =
         static_cast<double>(t_n - t0) / static_cast<double>(unit);
   }
-  const auto& rider = sys.node(probe).rider();
+  const std::size_t commits = node.commits().size();
   out.waves_per_commit =
-      static_cast<double>(rider.waves_evaluated()) /
-      static_cast<double>(rider.committed_leaders().size()
-                              ? rider.committed_leaders().size()
-                              : 1);
+      static_cast<double>(sys.node(probe).rider().waves_evaluated()) /
+      static_cast<double>(commits ? commits : 1);
   out.ok = true;
   return out;
 }

@@ -169,8 +169,11 @@ int run_tcp_two_processes(const Args& a) {
   for (auto p : ports) peers.push_back(net::TcpPeer{"127.0.0.1", p});
   const ProcessId split = committee.n / 2;
 
-  int pipefd[2];
-  if (::pipe(pipefd) != 0) {
+  // One pipe each way: the barrier byte and the child's prefix digest go
+  // child -> parent, the barrier byte parent -> child.
+  int to_parent[2];
+  int to_child[2];
+  if (::pipe(to_parent) != 0 || ::pipe(to_child) != 0) {
     std::perror("pipe");
     return 1;
   }
@@ -184,6 +187,10 @@ int run_tcp_two_processes(const Args& a) {
   }
 
   const bool is_child = child == 0;
+  const int rx = is_child ? to_child[0] : to_parent[0];
+  const int tx = is_child ? to_parent[1] : to_child[1];
+  ::close(is_child ? to_child[1] : to_parent[1]);
+  ::close(is_child ? to_parent[0] : to_child[0]);
   const ProcessId lo = is_child ? split : 0;
   const ProcessId hi = is_child ? committee.n : split;
   const coin::CoinDealer dealer(a.seed ^ coin::kDealerSeedTweak, committee);
@@ -191,6 +198,16 @@ int run_tcp_two_processes(const Args& a) {
   for (auto& n : nodes) n->start();
 
   const bool ok = wait_delivered(nodes, a.blocks);
+  // Barrier: this half's nodes may be part of every quorum the other half
+  // still needs, so neither half stops them until the other has reached
+  // the target or given up. A half that died reads as end of file.
+  const char mine = ok ? 1 : 0;
+  char theirs = 0;
+  if (::write(tx, &mine, 1) != 1 || ::read(rx, &theirs, 1) != 1 || theirs != 1) {
+    std::fprintf(stderr, "%s half: the other half did not reach %llu blocks\n",
+                 is_child ? "child" : "parent",
+                 static_cast<unsigned long long>(a.blocks));
+  }
   for (auto& n : nodes) n->stop_loop();
   for (auto& n : nodes) n->stop_transport();
 
@@ -202,7 +219,7 @@ int run_tcp_two_processes(const Args& a) {
   }
 
   if (is_child) {
-    ::close(pipefd[0]);
+    ::close(rx);
     int rc = 1;
     if (!ok) {
       std::fprintf(stderr, "child half stalled waiting for %llu blocks\n",
@@ -211,22 +228,21 @@ int run_tcp_two_processes(const Args& a) {
       std::fprintf(stderr, "child AUDIT FAILURE: %s\n", v->c_str());
     } else {
       const crypto::Digest d = prefix_digest(delivered[0], a.blocks);
-      if (::write(pipefd[1], d.data(), d.size()) ==
-          static_cast<ssize_t>(d.size())) {
+      if (::write(tx, d.data(), d.size()) == static_cast<ssize_t>(d.size())) {
         rc = 0;
       }
     }
-    ::close(pipefd[1]);
+    ::close(tx);
     std::_Exit(rc);  // skip static destructors shared with the parent image
   }
 
-  ::close(pipefd[1]);
+  ::close(tx);
   int rc = 1;
-  crypto::Digest theirs{};
+  crypto::Digest their_digest{};
   const bool got_digest =
-      ::read(pipefd[0], theirs.data(), theirs.size()) ==
-      static_cast<ssize_t>(theirs.size());
-  ::close(pipefd[0]);
+      ::read(rx, their_digest.data(), their_digest.size()) ==
+      static_cast<ssize_t>(their_digest.size());
+  ::close(rx);
   int child_status = -1;
   ::waitpid(child, &child_status, 0);
 
@@ -237,7 +253,7 @@ int run_tcp_two_processes(const Args& a) {
   } else if (!got_digest || !WIFEXITED(child_status) ||
              WEXITSTATUS(child_status) != 0) {
     std::fprintf(stderr, "child half failed\n");
-  } else if (prefix_digest(delivered[0], a.blocks) != theirs) {
+  } else if (prefix_digest(delivered[0], a.blocks) != their_digest) {
     std::fprintf(stderr, "CROSS-PROCESS DISAGREEMENT on the first %llu blocks\n",
                  static_cast<unsigned long long>(a.blocks));
   } else {

@@ -29,20 +29,22 @@ Round ordering_rounds_per_wave(OrderingKind kind) {
 }
 
 OrderingRule::OrderingRule(dag::DagBuilder& builder, coin::Coin& coin)
-    : builder_(builder), coin_(coin) {
+    : builder_(builder),
+      coin_(coin),
+      delivered_vertices_(builder.dag().committee().n) {
   builder_.set_wave_ready([this](Wave w) { on_wave_ready(w); });
 }
 
 void OrderingRule::restore(Wave decided_wave, std::uint64_t delivered_count,
                            const std::vector<VertexId>& delivered_ids) {
   DR_REQUIRE(decided_wave_ == 0 && next_wave_to_process_ == 1 &&
-                 delivered_vertices_.empty() && delivered_count_ == 0,
+                 delivered_count_ == 0,
              "snapshot restore on a non-fresh ordering layer");
   decided_wave_ = decided_wave;
   next_wave_to_process_ = decided_wave + 1;
   floor_ = floor_of(decided_wave);
   for (const VertexId& id : delivered_ids) {
-    if (id.round >= floor_) delivered_vertices_.insert(id);
+    if (id.round >= floor_) delivered_vertices_[id.source].insert(id.round);
   }
   delivered_count_ = delivered_count;
 #if DR_CONTRACTS_ENABLED
@@ -139,18 +141,17 @@ void OrderingRule::handle_wave(Wave w, ProcessId leader_process) {
   decided_wave_ = w;  // line 44
   on_wave_outcome(w, true);
   order_vertices(leaders_stack);
+  // The walk-back reads candidates only above decided_wave_.
+  candidates_.erase(candidates_.begin(), candidates_.upper_bound(w));
 
   floor_ = floor_of(decided_wave_);
   if (floor_ > 0) {
     // The builder may hold its own floor lower (laggard holdback keeps
     // history servable), but delivery reads floor_ alone.
     builder_.apply_gc_floor(floor_);
-    // The delivered-id set no longer needs entries below the floor: the
+    // The delivered set no longer needs rounds below the floor: the
     // traversal prunes that region wholesale.
-    for (auto it = delivered_vertices_.begin();
-         it != delivered_vertices_.end();) {
-      it = it->round < floor_ ? delivered_vertices_.erase(it) : std::next(it);
-    }
+    for (RoundSet& rounds : delivered_vertices_) rounds.erase_below(floor_);
   }
 }
 
@@ -172,7 +173,6 @@ void OrderingRule::order_vertices(
     const auto [wave, leader] = leaders_stack.back();
     leaders_stack.pop_back();
     const bool direct = leaders_stack.empty();  // last popped == direct commit
-    committed_leaders_.emplace_back(wave, leader);
     if (commit_observer_) commit_observer_(wave, leader, direct);
 
     // Line 54: every vertex with a path from the leader, not yet delivered.
@@ -186,14 +186,14 @@ void OrderingRule::order_vertices(
     std::vector<VertexId> to_deliver = dag.causal_history(
         leader, [this](VertexId id) {
           return id.round == 0 || id.round < floor_ ||
-                 delivered_vertices_.count(id) > 0;
+                 delivered_vertices_[id.source].contains(id.round);
         });
     // "In some deterministic order" (line 55): by (round, source).
     std::sort(to_deliver.begin(), to_deliver.end());
     for (const VertexId& id : to_deliver) {
       const dag::Vertex* vx = dag.get(id);
       DR_ASSERT(vx != nullptr);
-      const bool fresh = delivered_vertices_.insert(id).second;
+      const bool fresh = delivered_vertices_[id.source].insert(id.round);
       // BAB Integrity (§2.1): at most one a_deliver per vertex. The
       // traversal's skip predicate prunes delivered vertices, so a stale id
       // here means the causal-closure argument behind that pruning broke.

@@ -34,10 +34,10 @@
 #include <optional>
 #include <set>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "coin/coin.hpp"
+#include "common/round_set.hpp"
 #include "core/contract.hpp"
 #include "dag/builder.hpp"
 
@@ -154,10 +154,9 @@ class OrderingRule {
 
   Wave decided_wave() const { return decided_wave_; }
   std::uint64_t delivered_count() const { return delivered_count_; }
-  /// Waves whose leader this process committed, in commit order.
-  const std::vector<std::pair<Wave, dag::VertexId>>& committed_leaders() const {
-    return committed_leaders_;
-  }
+  /// Wave candidates held: those of the waves above decided_wave() whose
+  /// leader is known. Bounded by the undecided waves, not by the run.
+  std::size_t candidates_held() const { return candidates_.size(); }
   /// Number of waves evaluated whose commit rule failed directly (skipped at
   /// evaluation time; they may still be recovered transitively later).
   std::uint64_t waves_without_direct_commit() const { return waves_no_direct_; }
@@ -204,9 +203,9 @@ class OrderingRule {
   Wave decided_wave_ = 0;
   Wave next_wave_to_process_ = 1;
   std::set<Wave> ready_waves_;
-  std::map<Wave, ProcessId> candidates_;
-  std::unordered_set<dag::VertexId, dag::VertexIdHash> delivered_vertices_;
-  std::vector<std::pair<Wave, dag::VertexId>> committed_leaders_;
+  std::map<Wave, ProcessId> candidates_;  ///< waves above decided_wave_ only
+  /// a_delivered rounds at and above floor_, indexed by source.
+  std::vector<RoundSet> delivered_vertices_;
   std::uint64_t delivered_count_ = 0;
   std::uint64_t waves_no_direct_ = 0;
   std::uint64_t waves_evaluated_ = 0;

@@ -38,8 +38,8 @@ AvidRbc::AvidRbc(net::Bus& net, ProcessId pid)
     : net_(net),
       pid_(pid),
       rs_(net.committee().small_quorum(),            // k = f+1 data shards
-          net.n() - net.committee().small_quorum())  // m = n-f-1 parity
-{
+          net.n() - net.committee().small_quorum()),  // m = n-f-1 parity
+      delivered_(net.n()) {
   net_.subscribe(pid_, net::Channel::kAvid,
                  [this](ProcessId from, const net::Payload& msg) {
                    on_message(from, msg.view());
@@ -77,19 +77,21 @@ void AvidRbc::on_message(ProcessId from, BytesView data) {
     const Round round = in.u64();
     Bytes root_raw = in.raw(crypto::kDigestSize);
     if (!in.done() || source >= net_.n()) return;
+    if (delivered_[source].contains(round)) return;
     crypto::Digest root{};
     std::copy(root_raw.begin(), root_raw.end(), root.begin());
-    const InstanceKey key{source, round};
-    Instance& inst = instances_[key];
-    if (inst.delivered) return;
-    inst.by_root[root].ready_senders.insert(from);
-    maybe_progress(key, root);
+    const auto it = instances_.try_emplace(InstanceKey{source, round}).first;
+    it->second.by_root[root].ready_senders.add(from);
+    maybe_progress(it, root);
     return;
   }
 
   FragmentMsg msg;
   if (!parse_fragment_msg(data, msg)) return;
   if (msg.source >= net_.n() || msg.frag_index >= net_.n()) return;
+  // Integrity: a delivered instance answers nothing more; its frames stop
+  // here, before any proof check or state.
+  if (delivered_[msg.source].contains(msg.round)) return;
   if (msg.type == kDisperse && from != msg.source) return;  // forged sender
   // An echo must carry the echoer's own fragment; anything else inflates a
   // single Byzantine process into many fragment slots.
@@ -98,9 +100,8 @@ void AvidRbc::on_message(ProcessId from, BytesView data) {
   if (!crypto::MerkleTree::verify(msg.root, msg.fragment, msg.proof)) return;
   if (msg.proof.leaf_count != net_.n()) return;
 
-  const InstanceKey key{msg.source, msg.round};
-  Instance& inst = instances_[key];
-  if (inst.delivered) return;
+  const auto it = instances_.try_emplace(InstanceKey{msg.source, msg.round}).first;
+  Instance& inst = it->second;
   PerRoot& pr = inst.by_root[msg.root];
 
   switch (msg.type) {
@@ -122,13 +123,13 @@ void AvidRbc::on_message(ProcessId from, BytesView data) {
     }
     case kEcho: {
       pr.fragments.emplace(msg.frag_index, msg.fragment);
-      pr.echo_senders.insert(from);
+      pr.echo_senders.add(from);
       break;
     }
     default:
       return;
   }
-  maybe_progress(key, msg.root);
+  maybe_progress(it, msg.root);
 }
 
 bool AvidRbc::ensure_payload(PerRoot& pr, const crypto::Digest& root) {
@@ -154,14 +155,15 @@ bool AvidRbc::ensure_payload(PerRoot& pr, const crypto::Digest& root) {
   return true;
 }
 
-void AvidRbc::maybe_progress(const InstanceKey& key, const crypto::Digest& root) {
-  Instance& inst = instances_[key];
+void AvidRbc::maybe_progress(Instances::iterator it, const crypto::Digest& root) {
+  const InstanceKey key = it->first;
+  Instance& inst = it->second;
   PerRoot& pr = inst.by_root[root];
   const std::uint32_t quorum = net_.committee().quorum();
   const std::uint32_t small = net_.committee().small_quorum();
 
-  const bool echo_quorum = pr.echo_senders.size() >= quorum;
-  const bool ready_amplify = pr.ready_senders.size() >= small;
+  const bool echo_quorum = pr.echo_senders.count() >= quorum;
+  const bool ready_amplify = pr.ready_senders.count() >= small;
   if (!inst.readied && (ready_amplify || (echo_quorum && ensure_payload(pr, root)))) {
     inst.readied = true;
     ByteWriter w(64);
@@ -171,11 +173,12 @@ void AvidRbc::maybe_progress(const InstanceKey& key, const crypto::Digest& root)
     w.raw(BytesView{root.data(), root.size()});
     net_.broadcast(pid_, net::Channel::kAvid, std::move(w).take());
   }
-  if (pr.ready_senders.size() >= quorum && !inst.delivered &&
-      ensure_payload(pr, root)) {
-    inst.delivered = true;
+  if (pr.ready_senders.count() >= quorum && ensure_payload(pr, root)) {
+    // Free the instance and keep only its tombstone; `inst` and `pr`
+    // dangle from here on.
     Bytes payload = std::move(*pr.reconstructed);
-    inst.by_root.clear();
+    instances_.erase(it);
+    delivered_[key.source].insert(key.round);
     contract_on_deliver(key.source, key.round);
     if (deliver_) deliver_(key.source, key.round, net::Payload(std::move(payload)));
   }

@@ -23,8 +23,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_set>
+#include <unordered_map>
+#include <vector>
 
+#include "common/round_set.hpp"
+#include "common/vote_set.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/reed_solomon.hpp"
 #include "crypto/sha256.hpp"
@@ -39,21 +42,16 @@ class AvidRbc final : public ReliableBroadcast {
   void set_deliver(DeliverFn fn) override { deliver_ = std::move(fn); }
   void broadcast(Round r, net::Payload payload) override;
 
+  /// Instances that have received a frame here but not yet r_delivered.
+  std::size_t live_instances() const { return instances_.size(); }
+
  private:
   enum MsgType : std::uint8_t { kDisperse = 1, kEcho = 2, kReady = 3 };
 
-  struct InstanceKey {
-    ProcessId source;
-    Round round;
-    bool operator<(const InstanceKey& o) const {
-      return source != o.source ? source < o.source : round < o.round;
-    }
-  };
-
   struct PerRoot {
     std::map<std::uint32_t, Bytes> fragments;      // fragment index -> bytes
-    std::unordered_set<ProcessId> echo_senders;
-    std::unordered_set<ProcessId> ready_senders;
+    VoteSet echo_senders;
+    VoteSet ready_senders;
     std::optional<Bytes> reconstructed;
     bool encoding_checked = false;
     bool encoding_ok = false;
@@ -63,11 +61,11 @@ class AvidRbc final : public ReliableBroadcast {
     std::map<crypto::Digest, PerRoot> by_root;
     bool echoed = false;
     bool readied = false;
-    bool delivered = false;
   };
+  using Instances = std::unordered_map<InstanceKey, Instance, InstanceKeyHash>;
 
   void on_message(ProcessId from, BytesView data);
-  void maybe_progress(const InstanceKey& key, const crypto::Digest& root);
+  void maybe_progress(Instances::iterator it, const crypto::Digest& root);
   /// Tries to rebuild the payload and verify the sender's encoding against
   /// the Merkle root. Returns true iff the payload is available and valid.
   bool ensure_payload(PerRoot& pr, const crypto::Digest& root);
@@ -76,7 +74,8 @@ class AvidRbc final : public ReliableBroadcast {
   ProcessId pid_;
   DeliverFn deliver_;
   crypto::ReedSolomon rs_;
-  std::map<InstanceKey, Instance> instances_;
+  Instances instances_;  ///< erased on r_deliver
+  std::vector<RoundSet> delivered_;  ///< indexed by source
 };
 
 }  // namespace dr::rbc

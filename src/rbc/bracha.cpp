@@ -11,56 +11,6 @@ constexpr std::size_t kPayloadOffset = 1 + 4 + 8 + 4;
 
 }  // namespace
 
-void BrachaRbc::VoteSet::add(ProcessId p) {
-  std::uint64_t* word = &low_;
-  if (p >= 64) {
-    const std::size_t i = p / 64 - 1;
-    if (high_.size() <= i) high_.resize(i + 1, 0);
-    word = &high_[i];
-  }
-  const std::uint64_t bit = std::uint64_t{1} << (p % 64);
-  if ((*word & bit) == 0) {
-    *word |= bit;
-    ++count_;
-  }
-}
-
-bool BrachaRbc::DeliveredRounds::contains(Round r) const {
-  if (r >= base_ && (r - base_) / 64 < bits_.size() &&
-      ((bits_[(r - base_) / 64] >> (r % 64)) & 1) != 0) {
-    return true;
-  }
-  // A far round stays in far_ even after the bitmap grows over it.
-  return !far_.empty() && far_.count(r) != 0;
-}
-
-void BrachaRbc::DeliveredRounds::insert(Round r) {
-  const Round word_start = r - r % 64;
-  if (bits_.empty()) {
-    base_ = word_start;
-    bits_.push_back(0);
-  } else if (r < base_) {
-    const Round grow = (base_ - word_start) / 64;
-    if (grow > kReachWords) {
-      far_.insert(r);
-      return;
-    }
-    bits_.insert(bits_.begin(), grow, 0);
-    base_ = word_start;
-  } else {
-    // Word indices, not round bounds: base_ + 64 * size may overflow.
-    const Round word = (r - base_) / 64;
-    if (word >= bits_.size()) {
-      if (word - bits_.size() >= kReachWords) {
-        far_.insert(r);
-        return;
-      }
-      bits_.resize(word + 1, 0);
-    }
-  }
-  bits_[(r - base_) / 64] |= std::uint64_t{1} << (r % 64);
-}
-
 BrachaRbc::BrachaRbc(net::Bus& net, ProcessId pid)
     : net_(net), pid_(pid), delivered_(net.n()) {
   net_.subscribe(pid_, net::Channel::kBracha,

@@ -14,10 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
+#include "common/round_set.hpp"
+#include "common/vote_set.hpp"
 #include "rbc/rbc.hpp"
 
 namespace dr::rbc {
@@ -36,35 +37,6 @@ class BrachaRbc final : public ReliableBroadcast {
  private:
   enum MsgType : std::uint8_t { kSend = 1, kEcho = 2, kReady = 3 };
 
-  /// Key of one broadcast instance.
-  struct InstanceKey {
-    ProcessId source;
-    Round round;
-    bool operator==(const InstanceKey& o) const {
-      return source == o.source && round == o.round;
-    }
-  };
-  struct InstanceKeyHash {
-    std::size_t operator()(const InstanceKey& k) const {
-      return std::hash<std::uint64_t>{}(k.round * 0x9E3779B97F4A7C15ULL ^ k.source);
-    }
-  };
-
-  /// The processes that cast one kind of vote for one payload: a bitmask
-  /// with a running count. Word 0 is inline, so committees of up to 64
-  /// never allocate; larger ones keep the other words on the heap.
-  class VoteSet {
-   public:
-    /// Records p's vote; a repeated vote is not counted again.
-    void add(ProcessId p);
-    std::uint32_t count() const { return count_; }
-
-   private:
-    std::uint64_t low_ = 0;
-    std::vector<std::uint64_t> high_;
-    std::uint32_t count_ = 0;
-  };
-
   /// One payload seen for an instance. A correct sender yields exactly one;
   /// an equivocating one yields one per variant it sent.
   struct Variant {
@@ -80,25 +52,6 @@ class BrachaRbc final : public ReliableBroadcast {
   };
   using Instances = std::unordered_map<InstanceKey, Instance, InstanceKeyHash>;
 
-  /// Rounds of one source r_delivered here: the tombstones that keep
-  /// Integrity once an instance's state is freed. A dense bitmap over
-  /// [base_, base_ + 64 * bits_.size()), anchored at the first delivered
-  /// round and grown by at most kReachWords words per delivery; a round
-  /// farther away (a Byzantine SEND at round 2^40) goes to a sparse set, so
-  /// no single delivery allocates more than O(1).
-  class DeliveredRounds {
-   public:
-    bool contains(Round r) const;
-    void insert(Round r);
-
-   private:
-    static constexpr std::size_t kReachWords = 64;  // 4,096 rounds
-
-    Round base_ = 0;  ///< multiple of 64
-    std::vector<std::uint64_t> bits_;
-    std::set<Round> far_;
-  };
-
   void on_message(ProcessId from, const net::Payload& msg);
   void maybe_progress(Instances::iterator it, Variant& variant);
   Bytes encode(MsgType type, ProcessId source, Round r, BytesView payload) const;
@@ -107,7 +60,7 @@ class BrachaRbc final : public ReliableBroadcast {
   ProcessId pid_;
   DeliverFn deliver_;
   Instances instances_;
-  std::vector<DeliveredRounds> delivered_;  ///< indexed by source
+  std::vector<RoundSet> delivered_;  ///< tombstones, indexed by source
 };
 
 }  // namespace dr::rbc

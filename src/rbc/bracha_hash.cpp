@@ -73,7 +73,11 @@ void BrachaHashRbc::on_message(ProcessId from, const net::Payload& msg) {
       crypto::Digest d{};
       std::copy(draw.begin(), draw.end(), d.begin());
       PerDigest& pd = inst.by_digest[d];
-      (type == kEcho ? pd.echoes : pd.readies).insert(from);
+      if (type == kEcho) {
+        pd.echoes.insert(from);
+      } else {
+        pd.readies.add(from);
+      }
       maybe_progress(key, d);
       break;
     }
@@ -100,7 +104,7 @@ void BrachaHashRbc::on_message(ProcessId from, const net::Payload& msg) {
       // this digest exists); a Byzantine responder cannot plant junk.
       auto it = inst.by_digest.find(d);
       if (it == inst.by_digest.end() ||
-          it->second.readies.size() < net_.committee().quorum()) {
+          it->second.readies.count() < net_.committee().quorum()) {
         return;
       }
       inst.payload_digest = d;
@@ -123,7 +127,7 @@ void BrachaHashRbc::maybe_progress(const InstanceKey& key,
   const std::uint32_t small = net_.committee().small_quorum();
 
   if (!inst.readied &&
-      (pd.echoes.size() >= quorum || pd.readies.size() >= small)) {
+      (pd.echoes.size() >= quorum || pd.readies.count() >= small)) {
     inst.readied = true;
     ByteWriter w(64);
     w.u8(kReady);
@@ -132,7 +136,7 @@ void BrachaHashRbc::maybe_progress(const InstanceKey& key,
     w.raw(BytesView{digest.data(), digest.size()});
     net_.broadcast(pid_, net::Channel::kBracha, std::move(w).take());
   }
-  if (pd.readies.size() < quorum) return;
+  if (pd.readies.count() < quorum) return;
 
   if (inst.have_payload && inst.payload_digest == digest) {
     inst.delivered = true;
@@ -153,7 +157,7 @@ void BrachaHashRbc::maybe_progress(const InstanceKey& key,
   w.raw(BytesView{digest.data(), digest.size()});
   const net::Payload fetch(std::move(w).take());
   for (ProcessId holder : pd.echoes) {
-    if (pd.fetched_from.insert(holder).second) {
+    if (pd.fetched_from.add(holder)) {
       net_.send(pid_, holder, net::Channel::kBracha, fetch);
     }
   }

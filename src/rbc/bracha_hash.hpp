@@ -22,8 +22,10 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <unordered_set>
 
+#include "common/vote_set.hpp"
 #include "crypto/sha256.hpp"
 #include "rbc/rbc.hpp"
 
@@ -45,21 +47,15 @@ class BrachaHashRbc final : public ReliableBroadcast {
     kPayload = 5,
   };
 
-  struct InstanceKey {
-    ProcessId source;
-    Round round;
-    bool operator<(const InstanceKey& o) const {
-      return source != o.source ? source < o.source : round < o.round;
-    }
-  };
-
   struct PerDigest {
+    /// A set, not a VoteSet: maybe_progress sends FETCH in this set's
+    /// iteration order.
     std::unordered_set<ProcessId> echoes;
-    std::unordered_set<ProcessId> readies;
+    VoteSet readies;
     /// Holders already asked for the payload. Pulls are incremental: an
     /// echo arriving after the READY quorum still triggers a fetch, so a
     /// quorum reached before any echo cannot strand the instance.
-    std::unordered_set<ProcessId> fetched_from;
+    VoteSet fetched_from;
   };
 
   struct Instance {
@@ -79,7 +75,9 @@ class BrachaHashRbc final : public ReliableBroadcast {
   net::Bus& net_;
   ProcessId pid_;
   DeliverFn deliver_;
-  std::map<InstanceKey, Instance> instances_;
+  /// Delivered instances stay: after delivering through the pull path this
+  /// process must still answer FETCH and echo a late SEND.
+  std::unordered_map<InstanceKey, Instance, InstanceKeyHash> instances_;
 };
 
 }  // namespace dr::rbc

@@ -33,7 +33,7 @@ std::vector<ProcessId> GossipRbc::sample_of(std::uint64_t system_seed,
 }
 
 GossipRbc::GossipRbc(net::Bus& net, ProcessId pid, std::uint64_t system_seed)
-    : net_(net), pid_(pid) {
+    : net_(net), pid_(pid), delivered_(net.n()) {
   const std::uint32_t n = net.n();
   const double ln_n = std::log(std::max<std::uint32_t>(n, 2));
   // Gossip fanout g = ceil(2 ln n) + 2 and echo sample e = ceil(4 ln n) + 4.
@@ -73,11 +73,10 @@ void GossipRbc::broadcast(Round r, net::Payload payload) {
   for (ProcessId to : gossip_targets_) {
     net_.send(pid_, to, net::Channel::kGossip, msg);
   }
-  const InstanceKey key{pid_, r};
-  Instance& inst = instances_[key];
   // The local path keeps a window into the encoded message so the digest
   // memo is shared with the bytes that went out on the wire.
-  handle_payload(key, inst, msg.window(1 + 4 + 8 + 4, payload.size()));
+  handle_payload(instances_.try_emplace(InstanceKey{pid_, r}).first,
+                 msg.window(1 + 4 + 8 + 4, payload.size()));
 }
 
 void GossipRbc::on_message(ProcessId from, const net::Payload& msg) {
@@ -90,8 +89,10 @@ void GossipRbc::on_message(ProcessId from, const net::Payload& msg) {
     const std::uint32_t len = in.u32();
     constexpr std::size_t kPayloadOffset = 1 + 4 + 8 + 4;
     if (!in.ok() || in.remaining() != len || source >= net_.n()) return;
-    const InstanceKey key{source, round};
-    Instance& inst = instances_[key];
+    // Integrity: a delivered instance's frames stop here, before any state.
+    if (delivered_[source].contains(round)) return;
+    const auto it = instances_.try_emplace(InstanceKey{source, round}).first;
+    Instance& inst = it->second;
     if (inst.have_payload) return;  // already seen; stop the rumor here
     // Forward before consuming: rumor spreading. The relayed message is
     // byte-identical to the one received, so forward the incoming frame's
@@ -102,7 +103,7 @@ void GossipRbc::on_message(ProcessId from, const net::Payload& msg) {
         if (to != from) net_.send(pid_, to, net::Channel::kGossip, msg);
       }
     }
-    handle_payload(key, inst, msg.window(kPayloadOffset, len));
+    handle_payload(it, msg.window(kPayloadOffset, len));
     return;
   }
 
@@ -111,22 +112,23 @@ void GossipRbc::on_message(ProcessId from, const net::Payload& msg) {
     const Round round = in.u64();
     Bytes digest_raw = in.raw(crypto::kDigestSize);
     if (!in.done() || source >= net_.n()) return;
+    if (delivered_[source].contains(round)) return;
     crypto::Digest digest{};
     std::copy(digest_raw.begin(), digest_raw.end(), digest.begin());
-    const InstanceKey key{source, round};
-    Instance& inst = instances_[key];
     // Count only echoes from my own echo sample; others carry no evidence.
     if (std::find(echo_sample_.begin(), echo_sample_.end(), from) ==
         echo_sample_.end()) {
       return;
     }
-    inst.echoes[digest].insert(from);
-    maybe_deliver(key, inst);
+    const auto it = instances_.try_emplace(InstanceKey{source, round}).first;
+    it->second.echoes[digest].add(from);
+    maybe_deliver(it);
   }
 }
 
-void GossipRbc::handle_payload(const InstanceKey& key, Instance& inst,
-                               net::Payload payload) {
+void GossipRbc::handle_payload(Instances::iterator it, net::Payload payload) {
+  const InstanceKey key = it->first;
+  Instance& inst = it->second;
   if (inst.have_payload) return;
   inst.have_payload = true;
   inst.payload = std::move(payload);
@@ -143,16 +145,21 @@ void GossipRbc::handle_payload(const InstanceKey& key, Instance& inst,
       net_.send(pid_, to, net::Channel::kGossip, msg);
     }
   }
-  maybe_deliver(key, inst);
+  maybe_deliver(it);
 }
 
-void GossipRbc::maybe_deliver(const InstanceKey& key, Instance& inst) {
-  if (inst.delivered || !inst.have_payload) return;
-  auto it = inst.echoes.find(inst.payload_digest);
-  if (it == inst.echoes.end() || it->second.size() < echo_needed_) return;
-  inst.delivered = true;
+void GossipRbc::maybe_deliver(Instances::iterator it) {
+  const InstanceKey key = it->first;
+  Instance& inst = it->second;
+  if (!inst.have_payload) return;
+  auto votes = inst.echoes.find(inst.payload_digest);
+  if (votes == inst.echoes.end() || votes->second.count() < echo_needed_) return;
+  // Free the instance and keep only its tombstone.
+  net::Payload payload = std::move(inst.payload);
+  instances_.erase(it);
+  delivered_[key.source].insert(key.round);
   contract_on_deliver(key.source, key.round);
-  if (deliver_) deliver_(key.source, key.round, inst.payload);
+  if (deliver_) deliver_(key.source, key.round, std::move(payload));
 }
 
 }  // namespace dr::rbc

@@ -21,9 +21,10 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/round_set.hpp"
+#include "common/vote_set.hpp"
 #include "crypto/sha256.hpp"
 #include "rbc/rbc.hpp"
 
@@ -39,31 +40,25 @@ class GossipRbc final : public ReliableBroadcast {
   std::uint32_t gossip_fanout() const { return fanout_; }
   std::uint32_t echo_sample_size() const { return sample_; }
 
+  /// Instances that have received a frame here but not yet r_delivered.
+  std::size_t live_instances() const { return instances_.size(); }
+
  private:
   enum MsgType : std::uint8_t { kGossip = 1, kEcho = 2 };
-
-  struct InstanceKey {
-    ProcessId source;
-    Round round;
-    bool operator<(const InstanceKey& o) const {
-      return source != o.source ? source < o.source : round < o.round;
-    }
-  };
 
   struct Instance {
     net::Payload payload;
     bool have_payload = false;
     crypto::Digest payload_digest{};
-    std::map<crypto::Digest, std::unordered_set<ProcessId>> echoes;
+    std::map<crypto::Digest, VoteSet> echoes;
     bool forwarded = false;
     bool echoed = false;
-    bool delivered = false;
   };
+  using Instances = std::unordered_map<InstanceKey, Instance, InstanceKeyHash>;
 
   void on_message(ProcessId from, const net::Payload& msg);
-  void handle_payload(const InstanceKey& key, Instance& inst,
-                      net::Payload payload);
-  void maybe_deliver(const InstanceKey& key, Instance& inst);
+  void handle_payload(Instances::iterator it, net::Payload payload);
+  void maybe_deliver(Instances::iterator it);
   static std::vector<ProcessId> sample_of(std::uint64_t system_seed,
                                           std::uint32_t n, ProcessId owner,
                                           std::uint32_t size, const char* tag);
@@ -77,7 +72,8 @@ class GossipRbc final : public ReliableBroadcast {
   std::vector<ProcessId> gossip_targets_;   ///< my gossip sample
   std::vector<ProcessId> echo_sample_;      ///< whose echoes I count
   std::vector<ProcessId> echo_subscribers_; ///< processes that sampled me
-  std::map<InstanceKey, Instance> instances_;
+  Instances instances_;  ///< erased on r_deliver
+  std::vector<RoundSet> delivered_;  ///< indexed by source
 };
 
 }  // namespace dr::rbc

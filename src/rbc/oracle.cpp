@@ -2,7 +2,8 @@
 
 namespace dr::rbc {
 
-OracleRbc::OracleRbc(net::Bus& net, ProcessId pid) : net_(net), pid_(pid) {
+OracleRbc::OracleRbc(net::Bus& net, ProcessId pid)
+    : net_(net), pid_(pid), delivered_(net.n()) {
   net_.subscribe(pid_, net::Channel::kOracle,
                  [this](ProcessId from, const net::Payload& msg) {
                    on_message(from, msg);
@@ -24,7 +25,7 @@ void OracleRbc::on_message(ProcessId from, const net::Payload& msg) {
   // Integrity: first payload per (source, round) wins; an equivocating
   // sender is silently reduced to its first message, which is exactly the
   // guarantee a real RBC provides.
-  if (!delivered_.emplace(from, r).second) return;
+  if (!delivered_[from].insert(r)) return;
   contract_on_deliver(from, r);
   // Blob starts after [u64 r][u32 len] = 12 header bytes.
   if (deliver_) deliver_(from, r, msg.window(12, len));

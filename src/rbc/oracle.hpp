@@ -8,9 +8,9 @@
 // from any real broadcast protocol (exactly n payload copies per broadcast).
 #pragma once
 
-#include <map>
-#include <set>
+#include <vector>
 
+#include "common/round_set.hpp"
 #include "rbc/rbc.hpp"
 
 namespace dr::rbc {
@@ -28,7 +28,7 @@ class OracleRbc final : public ReliableBroadcast {
   net::Bus& net_;
   ProcessId pid_;
   DeliverFn deliver_;
-  std::set<std::pair<ProcessId, Round>> delivered_;  // Integrity guard
+  std::vector<RoundSet> delivered_;  ///< Integrity guard, indexed by source
 };
 
 }  // namespace dr::rbc

@@ -13,6 +13,8 @@
 //   OracleRbc  — simulator-level idealized broadcast for layering tests.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
@@ -24,6 +26,21 @@
 #include "net/bus.hpp"
 
 namespace dr::rbc {
+
+/// Key of one broadcast instance: the (source, round) pair that RBC
+/// Integrity allows at most one r_deliver for.
+struct InstanceKey {
+  ProcessId source;
+  Round round;
+  bool operator==(const InstanceKey& o) const {
+    return source == o.source && round == o.round;
+  }
+};
+struct InstanceKeyHash {
+  std::size_t operator()(const InstanceKey& k) const {
+    return std::hash<std::uint64_t>{}(k.round * 0x9E3779B97F4A7C15ULL ^ k.source);
+  }
+};
 
 class ReliableBroadcast {
  public:

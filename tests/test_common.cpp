@@ -1,10 +1,17 @@
-// Unit tests: common kernel (serialization, RNG, quorum math, Expected).
+// Unit tests: common kernel (serialization, RNG, quorum math, Expected, the
+// delivered-round and vote sets).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <set>
 
 #include "common/bytes.hpp"
 #include "common/expected.hpp"
 #include "common/rng.hpp"
+#include "common/round_set.hpp"
 #include "common/types.hpp"
+#include "common/vote_set.hpp"
 
 namespace dr {
 namespace {
@@ -142,6 +149,118 @@ TEST(Expected, ValueAndFailurePaths) {
   auto bad = Expected<int>::failure("nope");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.error(), "nope");
+}
+
+TEST(RoundSet, RoundsAfterALongSilenceAreStoredDensely) {
+  // A source silent for more than 4,096 rounds: the rounds after the gap
+  // open one new dense run instead of one sparse entry each.
+  RoundSet set;
+  for (Round r = 1; r <= 1'000; ++r) EXPECT_TRUE(set.insert(r));
+  for (Round r = 6'001; r <= 106'000; ++r) EXPECT_TRUE(set.insert(r));
+  EXPECT_EQ(set.runs(), 2u);
+  for (Round r = 0; r <= 107'000; ++r) {
+    const bool in = (r >= 1 && r <= 1'000) || (r >= 6'001 && r <= 106'000);
+    ASSERT_EQ(set.contains(r), in) << "round " << r;
+  }
+  EXPECT_FALSE(set.insert(6'001));
+  EXPECT_FALSE(set.insert(1'000));
+}
+
+TEST(RoundSet, ExtremeRoundsCostOneRunEach) {
+  const Round kFar = Round{1} << 40;
+  const Round kTop = ~Round{0};
+  RoundSet set;
+  for (Round r : {kTop, kFar, Round{0}, Round{1}, kFar + 1, kTop - 1}) {
+    EXPECT_TRUE(set.insert(r));
+  }
+  EXPECT_EQ(set.runs(), 3u);
+  for (Round r : {kTop, kFar, Round{0}, Round{1}, kFar + 1, kTop - 1}) {
+    EXPECT_TRUE(set.contains(r));
+    EXPECT_FALSE(set.insert(r));
+  }
+  EXPECT_FALSE(set.contains(kFar - 1));
+  EXPECT_FALSE(set.contains(kTop - 2));
+  set.erase_below(kTop);
+  EXPECT_EQ(set.runs(), 1u);
+  EXPECT_TRUE(set.contains(kTop));
+  EXPECT_FALSE(set.contains(kTop - 1));
+  EXPECT_FALSE(set.contains(kFar));
+}
+
+TEST(RoundSet, EraseBelowKeepsTheFloorAndWhatIsAbove) {
+  RoundSet set;
+  for (Round r = 0; r <= 300; ++r) set.insert(r);
+  set.erase_below(130);
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_FALSE(set.contains(129));
+  EXPECT_TRUE(set.contains(130));
+  EXPECT_TRUE(set.contains(300));
+  EXPECT_FALSE(set.contains(301));
+  // A round below the floor may be inserted again (the set forgets it).
+  EXPECT_TRUE(set.insert(5));
+  EXPECT_FALSE(set.insert(130));
+}
+
+TEST(RoundSet, MatchesAStdSetReference) {
+  // Random inserts around a drifting base with occasional jumps, extreme
+  // rounds, and erase_below at random floors, checked operation by
+  // operation against std::set.
+  const Round kExtremes[] = {0, 1, 63, 64, Round{1} << 40, (Round{1} << 40) + 64,
+                             ~Round{0} - 64, ~Round{0} - 1, ~Round{0}};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Xoshiro256 rng(seed);
+    RoundSet set;
+    std::set<Round> ref;
+    Round base = rng.below(10'000);
+    auto probe = [&](Round r) {
+      ASSERT_EQ(set.contains(r), ref.count(r) != 0)
+          << "seed " << seed << " round " << r;
+    };
+    for (int op = 0; op < 4'000; ++op) {
+      const std::uint64_t kind = rng.below(100);
+      Round r = 0;
+      if (kind < 2) {
+        base += 4'096 + rng.below(50'000);  // a long silence
+        r = base;
+      } else if (kind < 5) {
+        r = kExtremes[rng.below(std::size(kExtremes))];
+      } else if (kind < 7) {
+        const Round floor = rng.below(3) == 0
+                                ? kExtremes[rng.below(std::size(kExtremes))]
+                                : base - std::min<Round>(base, rng.below(300));
+        set.erase_below(floor);
+        ref.erase(ref.begin(), ref.lower_bound(floor));
+        for (Round d = 0; d < 3; ++d) {
+          probe(floor - std::min(floor, d));
+          probe(floor + d);
+        }
+        continue;
+      } else {
+        if (rng.below(4) == 0) base += rng.below(8);
+        r = base + rng.below(200) - std::min<Round>(base, rng.below(100));
+      }
+      ASSERT_EQ(set.insert(r), ref.insert(r).second)
+          << "seed " << seed << " round " << r;
+      probe(r);
+      probe(r + 1);
+      probe(r - std::min<Round>(r, 64));
+      probe(base + rng.below(5'000));
+    }
+    for (Round r : ref) probe(r);
+    for (Round r : kExtremes) probe(r);
+  }
+}
+
+TEST(VoteSet, AddReportsWhetherTheVoteIsNewAndCountsItOnce) {
+  VoteSet votes;
+  EXPECT_TRUE(votes.add(3));
+  EXPECT_FALSE(votes.add(3));
+  EXPECT_TRUE(votes.add(64));  // first heap word
+  EXPECT_TRUE(votes.add(200));
+  EXPECT_FALSE(votes.add(64));
+  EXPECT_FALSE(votes.add(200));
+  EXPECT_TRUE(votes.add(0));
+  EXPECT_EQ(votes.count(), 4u);
 }
 
 }  // namespace

@@ -391,6 +391,30 @@ TEST(DagRiderDeterminism, IdenticalSeedsReproduceDeliveries) {
 }
 
 // ---------------------------------------------------------------------------
+// Bounded ordering state: a wave's candidate leaves once a wave at or above
+// it is decided, so the map holds the undecided waves only.
+
+TEST(DagRiderState, WaveCandidatesStayBoundedOverALongRun) {
+  for (OrderingKind ordering :
+       {OrderingKind::kDagRider, OrderingKind::kBullshark}) {
+    SCOPED_TRACE(to_string(ordering));
+    SystemConfig cfg = base_config(1, 71);
+    cfg.ordering = ordering;
+    System sys(std::move(cfg));
+    sys.start();
+    std::size_t peak = 0;
+    ASSERT_TRUE(sys.simulator().run_until([&] {
+      for (ProcessId p = 0; p < sys.n(); ++p) {
+        peak = std::max(peak, sys.node(p).rider().candidates_held());
+      }
+      return sys.node(0).rider().decided_wave() >= 300;
+    }));
+    EXPECT_GE(peak, 1u);
+    EXPECT_LE(peak, 8u) << "wave candidates grew with the run of 300 waves";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Zero-overhead claim: the ordering layer sends nothing. With the piggyback
 // coin, total traffic is exactly the DAG traffic (only RBC channel bytes).
 

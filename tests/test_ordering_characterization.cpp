@@ -284,5 +284,37 @@ TEST(OrderingCharacterization, RestoredDecidedWaveSuppressesReplay) {
   EXPECT_FALSE(run.duplicate_delivery());
 }
 
+TEST(OrderingCharacterization, RestoreThenGcFloorNeverRedelivers) {
+  // Restored under GC at decided wave 2 (floor 5-2 = 3): ids below the
+  // floor are dropped at restore, the rest seed the delivered set. Wave 3
+  // then raises the floor to 7 and wave 4 to 11; each rise drops the rounds
+  // below it from the set, and the delivered vertices above it (round 8,
+  // reached by wave 4's walk) must still count as delivered.
+  ScriptedRun run(kC7, {{1, 0}, {2, 1}, {3, 2}, {4, 3}});
+  run.rider().enable_gc(2);
+  std::vector<dag::VertexId> delivered;
+  for (Round r = 1; r <= 4; ++r) {
+    for (ProcessId p : all7()) delivered.push_back({p, r});
+  }
+  delivered.push_back({1, 5});  // wave 2's leader
+  run.rider().restore(/*decided_wave=*/2, /*delivered_count=*/29, delivered);
+  run.begin();
+  run.add_round(1, all7(), genesis5());
+  for (Round r = 2; r <= 16; ++r) run.add_round(r, all7(), all7());
+  run.finish();
+
+  EXPECT_EQ(run.rider().decided_wave(), 4u);
+  EXPECT_EQ(run.builder().gc_floor(), 11u);
+  ASSERT_EQ(run.commits().size(), 2u);
+  // Wave 3: rounds 5-8 less the restored (1, 5), plus its leader (2, 9);
+  // wave 4: rounds 9-12 less (2, 9), plus its leader (3, 13).
+  EXPECT_EQ(run.delivered().size(), 28u + 28u);
+  EXPECT_EQ(run.rider().delivered_count(), 29u + 28u + 28u);
+  EXPECT_FALSE(run.was_delivered(dag::VertexId{1, 5}));
+  EXPECT_TRUE(run.was_delivered(dag::VertexId{0, 7}));
+  EXPECT_TRUE(run.was_delivered(dag::VertexId{3, 13}));
+  EXPECT_FALSE(run.duplicate_delivery());
+}
+
 }  // namespace
 }  // namespace dr::core

@@ -13,10 +13,55 @@ namespace dr::rbc {
 namespace {
 
 using testing::RbcHarness;
+using testing::TapBus;
 
 Bytes payload_of(const char* s) {
   return Bytes(reinterpret_cast<const std::uint8_t*>(s),
                reinterpret_cast<const std::uint8_t*>(s) + std::strlen(s));
+}
+
+/// Crafts a Bracha message (format mirrored from bracha.cpp).
+enum BrachaType : std::uint8_t { kSend = 1, kEcho = 2, kReady = 3 };
+Bytes bracha_frame(BrachaType type, ProcessId source, Round r,
+                   const Bytes& payload) {
+  ByteWriter w;
+  w.u8(type);
+  w.u32(source);
+  w.u64(r);
+  w.blob(payload);
+  return std::move(w).take();
+}
+Bytes bracha_send(ProcessId source, Round r, const Bytes& payload) {
+  return bracha_frame(kSend, source, r, payload);
+}
+
+std::uint64_t messages_sent(RbcHarness& h) {
+  std::uint64_t total = 0;
+  for (ProcessId p = 0; p < h.committee().n; ++p) {
+    total += h.net().traffic(p).messages_sent;
+  }
+  return total;
+}
+
+BrachaRbc& bracha(RbcHarness& h, ProcessId p) {
+  return dynamic_cast<BrachaRbc&>(h.instance(p));
+}
+
+/// Instances at p that have not r_delivered, for the kinds that free an
+/// instance on delivery (Bracha, AVID, gossip); 0 for the others.
+std::size_t live_instances(RbcHarness& h, ProcessId p) {
+  ReliableBroadcast& rbc = h.instance(p);
+  if (auto* b = dynamic_cast<BrachaRbc*>(&rbc)) return b->live_instances();
+  if (auto* a = dynamic_cast<AvidRbc*>(&rbc)) return a->live_instances();
+  if (auto* g = dynamic_cast<GossipRbc*>(&rbc)) return g->live_instances();
+  return 0;
+}
+
+/// Sends `frame` from `from` to every process.
+void inject(RbcHarness& h, ProcessId from, const Bytes& frame) {
+  for (ProcessId to = 0; to < h.committee().n; ++to) {
+    h.net().send(from, to, sim::Channel::kBracha, Bytes(frame));
+  }
 }
 
 /// Parameter: (kind, n). Gossip is excluded from Byzantine cases; its
@@ -107,6 +152,65 @@ TEST_P(RbcParam, LargePayloadRoundTrips) {
   }
 }
 
+TEST_P(RbcParam, LateAndReplayedFramesAfterDeliveryAreDropped) {
+  // Once (0, 5) has r_delivered everywhere, every frame of its broadcast is
+  // sent again, as a replaying or restarted peer would: none delivers twice
+  // or is answered. Hash-echo Bracha keeps delivered instances to answer
+  // FETCH, so its FETCHes are replayed apart and each gets one PAYLOAD.
+  const auto [kind, n] = GetParam();
+  RbcHarness h(Committee::for_n(n), kind, 41);
+  const Bytes msg = payload_of("delivered once");
+  h.tap().record(true);
+  h.instance(0).broadcast(5, Bytes(msg));
+  h.sim().run();
+  h.tap().record(false);
+  for (ProcessId p = 0; p < n; ++p) {
+    ASSERT_EQ(h.log(p).count(0, 5), 1);
+    EXPECT_EQ(live_instances(h, p), 0u);
+  }
+
+  const auto is_fetch = [&](const TapBus::Sent& f) {
+    return kind == RbcKind::kBrachaHash && f.payload.view()[0] == 4;
+  };
+  std::uint64_t before = messages_sent(h);
+  std::uint64_t injected = 0;
+  for (const TapBus::Sent& f : h.tap().sent()) {
+    if (is_fetch(f)) continue;
+    h.net().send(f.from, f.to, f.channel, f.payload);
+    ++injected;
+  }
+  if (kind == RbcKind::kBracha) {
+    // Late frames too: a conflicting SEND backed by a full quorum of ECHOs
+    // and READYs.
+    const Bytes other = payload_of("conflicting payload");
+    inject(h, 0, bracha_send(0, 5, other));
+    injected += n;
+    for (ProcessId from = 0; from < n; ++from) {
+      inject(h, from, bracha_frame(kEcho, 0, 5, other));
+      inject(h, from, bracha_frame(kReady, 0, 5, other));
+      injected += 2 * n;
+    }
+  }
+  ASSERT_GT(injected, 0u);
+  h.sim().run();
+  EXPECT_EQ(messages_sent(h), before + injected) << "a dropped frame was answered";
+
+  before = messages_sent(h);
+  std::uint64_t fetches = 0;
+  for (const TapBus::Sent& f : h.tap().sent()) {
+    if (!is_fetch(f)) continue;
+    h.net().send(f.from, f.to, f.channel, f.payload);
+    ++fetches;
+  }
+  h.sim().run();
+  EXPECT_EQ(messages_sent(h), before + 2 * fetches);
+  for (ProcessId p = 0; p < n; ++p) {
+    EXPECT_EQ(h.log(p).count(0, 5), 1) << "process " << p;
+    EXPECT_EQ(h.log(p).find(0, 5)->payload, msg);
+    EXPECT_EQ(live_instances(h, p), 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Deterministic, RbcParam,
     ::testing::Combine(::testing::Values(RbcKind::kBracha, RbcKind::kBrachaHash,
@@ -117,6 +221,16 @@ INSTANTIATE_TEST_SUITE_P(
                          "_n" + std::to_string(std::get<1>(info.param));
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
+    });
+
+// At these sizes gossip's samples span the whole committee, so its
+// delivery is certain and the deterministic properties hold for it too.
+INSTANTIATE_TEST_SUITE_P(
+    SmallGossip, RbcParam,
+    ::testing::Combine(::testing::Values(RbcKind::kGossip),
+                       ::testing::Values(4u, 7u)),
+    [](const auto& info) {
+      return "gossip_n" + std::to_string(std::get<1>(info.param));
     });
 
 // Committees above 64 keep Bracha's vote bitmasks in more than one word.
@@ -130,21 +244,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Byzantine sender scenarios (deterministic RBCs must defuse them).
-
-/// Crafts a Bracha message (format mirrored from bracha.cpp).
-enum BrachaType : std::uint8_t { kSend = 1, kEcho = 2, kReady = 3 };
-Bytes bracha_frame(BrachaType type, ProcessId source, Round r,
-                   const Bytes& payload) {
-  ByteWriter w;
-  w.u8(type);
-  w.u32(source);
-  w.u64(r);
-  w.blob(payload);
-  return std::move(w).take();
-}
-Bytes bracha_send(ProcessId source, Round r, const Bytes& payload) {
-  return bracha_frame(kSend, source, r, payload);
-}
 
 TEST(BrachaByzantine, EquivocatingSenderCannotSplitDelivery) {
   const Committee c = Committee::for_f(1);
@@ -207,60 +306,6 @@ TEST(BrachaByzantine, MalformedMessagesAreDropped) {
 // ---------------------------------------------------------------------------
 // Bracha instance state: a delivered instance leaves only a tombstone.
 
-std::uint64_t messages_sent(RbcHarness& h) {
-  std::uint64_t total = 0;
-  for (ProcessId p = 0; p < h.committee().n; ++p) {
-    total += h.net().traffic(p).messages_sent;
-  }
-  return total;
-}
-
-BrachaRbc& bracha(RbcHarness& h, ProcessId p) {
-  return dynamic_cast<BrachaRbc&>(h.instance(p));
-}
-
-/// Sends `frame` from `from` to every process.
-void inject(RbcHarness& h, ProcessId from, const Bytes& frame) {
-  for (ProcessId to = 0; to < h.committee().n; ++to) {
-    h.net().send(from, to, sim::Channel::kBracha, Bytes(frame));
-  }
-}
-
-TEST(BrachaIntegrity, LateAndReplayedFramesAfterDeliveryAreDropped) {
-  const Committee c = Committee::for_f(1);
-  RbcHarness h(c, RbcKind::kBracha, 41);
-  const Bytes msg = payload_of("delivered once");
-  h.instance(0).broadcast(5, Bytes(msg));
-  h.sim().run();
-  for (ProcessId p = 0; p < c.n; ++p) {
-    ASSERT_EQ(h.log(p).count(0, 5), 1);
-    EXPECT_EQ(bracha(h, p).live_instances(), 0u);
-  }
-
-  // Every frame a late, replaying or equivocating peer could still send for
-  // (0, 5): the identical SEND, late ECHOs and READYs from every process,
-  // and a conflicting SEND backed by a full quorum of ECHOs and READYs.
-  const Bytes other = payload_of("conflicting payload");
-  const std::uint64_t before = messages_sent(h);
-  std::uint64_t injected = 0;
-  for (const Bytes* body : {&msg, &other}) {
-    inject(h, 0, bracha_frame(kSend, 0, 5, *body));
-    injected += c.n;
-    for (ProcessId from = 0; from < c.n; ++from) {
-      inject(h, from, bracha_frame(kEcho, 0, 5, *body));
-      inject(h, from, bracha_frame(kReady, 0, 5, *body));
-      injected += 2 * c.n;
-    }
-  }
-  h.sim().run();
-  EXPECT_EQ(messages_sent(h), before + injected) << "a dropped frame was answered";
-  for (ProcessId p = 0; p < c.n; ++p) {
-    EXPECT_EQ(h.log(p).count(0, 5), 1) << "process " << p;
-    EXPECT_EQ(h.log(p).find(0, 5)->payload, msg);
-    EXPECT_EQ(bracha(h, p).live_instances(), 0u);
-  }
-}
-
 TEST(BrachaIntegrity, FarRoundsDeliverOnceAndLowRoundsStillDeliver) {
   // A Byzantine source broadcasts at rounds far outside any sane range, in
   // both orders relative to its ordinary low rounds. Each instance delivers
@@ -297,9 +342,9 @@ TEST(BrachaIntegrity, FarRoundsDeliverOnceAndLowRoundsStillDeliver) {
 }
 
 TEST(BrachaIntegrity, FarRoundStaysDeliveredAfterTheBitmapGrowsOverIt) {
-  // Round 5000 is delivered while it is too far above round 1 for the dense
-  // bitmap; later deliveries grow the bitmap over it. Its tombstone must
-  // still drop a conflicting quorum of READYs.
+  // Round 5000 is delivered while it is too far above round 1 for the first
+  // dense run, so it opens a second; later deliveries grow the first run up
+  // to it. Its tombstone must still drop a conflicting quorum of READYs.
   const Committee c = Committee::for_f(1);
   RbcHarness h(c, RbcKind::kBracha, 43);
   const Round rounds[] = {1, 5000, 4000, 4100, 5001};
@@ -322,33 +367,37 @@ TEST(BrachaState, LiveInstancesBoundedByInFlightNotRunLength) {
   // 1,000 rounds of all-correct broadcasts, pipelined: a new round starts
   // every 10 time units while delays reach 50, so several rounds are in
   // flight at once. Live state never exceeds the instances not yet
-  // delivered, and the run ends with none.
+  // delivered, and the run ends with none — for each kind that frees an
+  // instance on delivery.
   const Committee c = Committee::for_f(1);
-  RbcHarness h(c, RbcKind::kBracha, 44);
   constexpr Round kRounds = 1000;
-  std::size_t peak = 0;
-  for (Round r = 1; r <= kRounds; ++r) {
-    for (ProcessId p = 0; p < c.n; ++p) {
-      ByteWriter w;
-      w.u64(r * 10 + p);
-      h.instance(p).broadcast(r, std::move(w).take());
+  for (RbcKind kind : {RbcKind::kBracha, RbcKind::kAvid, RbcKind::kGossip}) {
+    SCOPED_TRACE(to_string(kind));
+    RbcHarness h(c, kind, 44);
+    std::size_t peak = 0;
+    for (Round r = 1; r <= kRounds; ++r) {
+      for (ProcessId p = 0; p < c.n; ++p) {
+        ByteWriter w;
+        w.u64(r * 10 + p);
+        h.instance(p).broadcast(r, std::move(w).take());
+      }
+      const sim::SimTime until = h.sim().now() + 10;
+      h.sim().run_until([&] { return h.sim().now() >= until; });
+      for (ProcessId p = 0; p < c.n; ++p) {
+        const std::size_t in_flight = c.n * r - h.log(p).entries.size();
+        const std::size_t live = live_instances(h, p);
+        EXPECT_LE(live, in_flight) << "process " << p << " round " << r;
+        peak = std::max(peak, live);
+      }
     }
-    const sim::SimTime until = h.sim().now() + 10;
-    h.sim().run_until([&] { return h.sim().now() >= until; });
+    h.sim().run();
     for (ProcessId p = 0; p < c.n; ++p) {
-      const std::size_t in_flight = c.n * r - h.log(p).entries.size();
-      const std::size_t live = bracha(h, p).live_instances();
-      EXPECT_LE(live, in_flight) << "process " << p << " round " << r;
-      peak = std::max(peak, live);
+      EXPECT_EQ(h.log(p).entries.size(), c.n * kRounds);
+      EXPECT_EQ(live_instances(h, p), 0u);
     }
+    EXPECT_LT(peak, 100u) << "live state grew with the run of "
+                          << c.n * kRounds << " instances";
   }
-  h.sim().run();
-  for (ProcessId p = 0; p < c.n; ++p) {
-    EXPECT_EQ(h.log(p).entries.size(), c.n * kRounds);
-    EXPECT_EQ(bracha(h, p).live_instances(), 0u);
-  }
-  EXPECT_LT(peak, 100u) << "live state grew with the run of "
-                        << c.n * kRounds << " instances";
 }
 
 TEST(BrachaState, VotesOfProcessesAbove64Count) {
